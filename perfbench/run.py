@@ -9,10 +9,12 @@ Usage (from the repository root):
 Builds perfbench/ (the library from src/ plus the workload driver) into
 .bench_build/, then starts the driver in a fresh process, again and again,
 until --seconds have passed. Every process runs the workload once, cold.
-With --trace 0 it reports the end-to-end metrics, each the median over the
-processes. With --trace 1 it alternates untraced and traced processes and
-reports the per-layer metrics from the traced ones, plus the tracing
-overhead. Outputs are checked on every process; the last line of stdout is
+After every untraced process it runs the fixed reference kernel
+(perfbench/reference.cpp) and expresses the process's times in reference
+seconds, which takes the host's speed drift out of them. With --trace 0 it
+reports the end-to-end metrics, each the median over the processes. With
+--trace 1 it alternates untraced and traced processes and reports the
+per-layer metrics from the traced ones, plus the tracing overhead. Outputs are checked on every process; the last line of stdout is
 the result object. Samples, provenance and the last traced run's spans are
 written to .bench_out/. See perfbench/README.md.
 """
@@ -31,6 +33,11 @@ ROOT = os.path.dirname(HERE)
 BUILD = os.path.join(ROOT, ".bench_build")
 OUT = os.path.join(ROOT, ".bench_out")
 DRIVER = os.path.join(BUILD, "perfbench-driver")
+REFERENCE = os.path.join(BUILD, "perfbench-reference")
+# One reference second is the time in which the reference kernel runs for
+# REFERENCE_S seconds; a time metric is reported in reference seconds:
+# wall seconds * REFERENCE_S / (the kernel's wall time next to it).
+REFERENCE_S = 0.3
 
 WORKLOADS = ("load-congested", "sweep-tree", "sweep-faults")
 MIN_PROCESSES = 3    # untraced processes per run, whatever --seconds says
@@ -109,23 +116,45 @@ def run_driver(workload, seed, mode, trace_out=None, report_out=None):
     return json.loads(p.stdout.strip().splitlines()[-1])
 
 
+def run_reference():
+    try:
+        p = subprocess.run([REFERENCE], capture_output=True, text=True,
+                           cwd=ROOT, timeout=PROCESS_TIMEOUT)
+    except subprocess.TimeoutExpired:
+        die(f"the reference kernel did not finish in {PROCESS_TIMEOUT} s", 4)
+    if p.returncode != 0 or not p.stdout.strip():
+        die(f"the reference kernel exited with {p.returncode}", 4)
+    return json.loads(p.stdout.strip().splitlines()[-1])
+
+
 def end_to_end(plain):
+    """Medians over the untraced processes, each process's times scaled by
+    the reference kernel run right after it."""
+    def ref_s(s, key):
+        return s[key] * REFERENCE_S / s["reference"]["seconds"]
     return {
-        "instances_per_s": median(s["attempted"] / s["loop_s"] for s in plain),
-        "schedules_per_s": median(s["attempted"] / s["run_s"] for s in plain),
-        "setup_s": median(s["setup_s"] for s in plain),
+        "instances_per_s": median(s["attempted"] / ref_s(s, "loop_s")
+                                  for s in plain),
+        "schedules_per_s": median(s["attempted"] / ref_s(s, "run_s")
+                                  for s in plain),
+        "setup_s": median(ref_s(s, "setup_s") for s in plain),
         "peak_rss_mb": median(s["peak_rss_mb"] for s in plain),
     }
 
 
-def per_layer(plain, traced, names, failed, attempted):
+def per_layer(plain, traced, units, failed, attempted):
     """Every per-layer metric: medians of the traced processes' layers and
-    deterministic outcomes, 0 where the workload has no such layer."""
+    deterministic outcomes, 0 where the workload has no such layer. Times
+    (unit s) are scaled by the run's median reference kernel time."""
+    slowdown = median(s["reference"]["seconds"] for s in plain) / REFERENCE_S
     values = {}
-    for name in names:
+    for name, unit in units.items():
         xs = [s["layers"].get(name, s["outcomes"].get(name)) for s in traced]
         xs = [x for x in xs if x is not None]
         values[name] = median(xs) if xs else 0.0
+        if unit == "s":
+            values[name] /= slowdown
+    values["bench.host_slowdown"] = slowdown
     values["breach_share"] = traced[0]["breaches"] / traced[0]["attempted"]
     values["failed_share"] = failed / attempted
     values["bench.trace_overhead"] = (median(s["run_s"] for s in traced) /
@@ -160,6 +189,7 @@ def main():
         plain.append(run_driver(args.workload, args.seed, "plain",
                                 report_out=stem + ".report"
                                 if not plain else None))
+        plain[-1]["reference"] = run_reference()
         if args.trace:
             traced.append(run_driver(args.workload, args.seed, "traced",
                                      trace_out=stem + ".spans.tsv"))
@@ -181,12 +211,15 @@ def main():
         failures.append("deterministic reports differ across processes: " +
                         ", ".join(sorted(digests)))
         failed += len(samples)
+    checksums = {s["reference"]["checksum"] for s in plain}
+    if len(checksums) != 1:
+        failures.append("the reference kernel's checksum varies: " +
+                        ", ".join(str(c) for c in sorted(checksums)))
     correct = not failures and failed == 0
 
     if args.trace:
-        names = [m["name"] for m in spec["per_layer"]]
-        values = per_layer(plain, traced, names, failed, attempted)
         units = {m["name"]: m["unit"] for m in spec["per_layer"]}
+        values = per_layer(plain, traced, units, failed, attempted)
     else:
         values = end_to_end(plain)
         units = {m["name"]: m["unit"] for m in spec["end_to_end"]}
