@@ -11,11 +11,12 @@ Builds perfbench/ (the library from src/ plus the workload driver) into
 until --seconds have passed. Every process runs the workload once, cold.
 After every untraced process it runs the fixed reference kernel
 (perfbench/reference.cpp) and expresses the process's times in reference
-seconds, which takes the host's speed drift out of them. With --trace 0 it
+seconds, which removes most of the host's speed drift. With --trace 0 it
 reports the end-to-end metrics, each the median over the processes. With
 --trace 1 it alternates untraced and traced processes and reports the
-per-layer metrics from the traced ones, plus the tracing overhead. Outputs are checked on every process; the last line of stdout is
-the result object. Samples, provenance and the last traced run's spans are
+per-layer metrics from the traced ones, plus the tracing overhead.
+Outputs are checked on every process; the last line of stdout is the
+result object. Samples, provenance and the last traced run's spans are
 written to .bench_out/. See perfbench/README.md.
 """
 
@@ -34,9 +35,9 @@ BUILD = os.path.join(ROOT, ".bench_build")
 OUT = os.path.join(ROOT, ".bench_out")
 DRIVER = os.path.join(BUILD, "perfbench-driver")
 REFERENCE = os.path.join(BUILD, "perfbench-reference")
-# One reference second is the time in which the reference kernel runs for
-# REFERENCE_S seconds; a time metric is reported in reference seconds:
-# wall seconds * REFERENCE_S / (the kernel's wall time next to it).
+# Times are reported in reference seconds: wall seconds * REFERENCE_S /
+# (the wall time of the reference kernel run next to them), i.e. wall
+# seconds on a host where the kernel takes REFERENCE_S.
 REFERENCE_S = 0.3
 
 WORKLOADS = ("load-congested", "sweep-tree", "sweep-faults")
