@@ -38,6 +38,10 @@ rc=0; "$bin" --no-such-flag >/dev/null 2>&1 || rc=$?
 [[ "$rc" -eq 2 ]] || fail "unknown flag exited $rc (want 2)"
 rc=0; "$bin" --seed=notanumber >/dev/null 2>&1 || rc=$?
 [[ "$rc" -eq 2 ]] || fail "bad --seed exited $rc (want 2)"
+rc=0; "$bin" --seed=-1 >/dev/null 2>&1 || rc=$?
+[[ "$rc" -eq 2 ]] || fail "negative --seed exited $rc (want 2)"
+rc=0; "$bin" "--seed= 7" >/dev/null 2>&1 || rc=$?
+[[ "$rc" -eq 2 ]] || fail "space-padded --seed exited $rc (want 2)"
 rc=0; "$bin" --budget-runs=0 >/dev/null 2>&1 || rc=$?
 [[ "$rc" -eq 2 ]] || fail "--budget-runs=0 exited $rc (want 2)"
 rc=0; "$bin" --corpus=/no/such/dir >/dev/null 2>&1 || rc=$?

@@ -111,6 +111,10 @@ void Blockchain::produce_block(Tick now) {
   // so both keep their capacity across blocks.
   batch_.clear();
   batch_.swap(mempool_);
+  apply_batch(now);
+}
+
+void Blockchain::apply_batch(Tick now) {
   for (Transaction& tx : batch_) {
     TxContext ctx(*this, tx.sender, now);
     tx.effect(ctx);
@@ -242,19 +246,9 @@ void Blockchain::produce_block_faulted(Tick now) {
     mempool_.resize(survivors);
   }
 
-  // 5. Apply the selected block, then the timeout sweep — identical to
-  //    the fast path from here on.
-  for (Transaction& tx : batch_) {
-    TxContext ctx(*this, tx.sender, now);
-    tx.effect(ctx);
-    ++applied_tx_count_;
-    record_status(tx, TxStatus::kIncluded);
-    if (on_included_) on_included_(id_, tx.sender, now);
-  }
-  TxContext sweep(*this, kNoParty, now);
-  for (auto& c : contracts_) {
-    c->on_block(sweep);
-  }
+  // 5. Apply the selected block, then the timeout sweep — the fast
+  //    path's tail.
+  apply_batch(now);
 }
 
 void Blockchain::reset() {
@@ -265,6 +259,12 @@ void Blockchain::reset() {
   applied_tx_count_ = 0;
   reset_fault_runtime();
   for (auto& c : contracts_) c->reset();
+  // The ledger's restore() drops its snapshot layers; retire the
+  // contracts' too, so the next snap_push is slot 0 everywhere. (Only
+  // chains that ever pushed: their contracts all support snapshots.)
+  if (!snap_counters_.empty()) {
+    for (auto& c : contracts_) c->snapshot(SnapshotOp::kTruncate, 0);
+  }
 }
 
 void Blockchain::snap_push() {
@@ -293,10 +293,9 @@ void Blockchain::snap_rewind(std::size_t depth) {
   mempool_.clear();
   // Fault runtime (submission ordinals, tracked statuses, halt flags) is
   // per-run state: rewinding to a snapshot restarts the run from that
-  // point, and the fuzz executor's rewind-to-slot-0 relies on this being
-  // equivalent to reset() for replay determinism. Fault-active sweeps run
-  // on the brute executor (one rewind target at the clean state), so
-  // mid-run snapshot layering never coexists with a live fault runtime.
+  // point. Fault-active sweeps run on the brute executor (every run
+  // restarts from reset()), so mid-run snapshot layering never coexists
+  // with a live fault runtime.
   reset_fault_runtime();
   // kRestore leaves the stack at depth + 1, matching the ledger.
   for (auto& c : contracts_) c->snapshot(SnapshotOp::kRestore, depth);

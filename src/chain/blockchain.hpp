@@ -302,12 +302,16 @@ class Blockchain {
   /// taken when this chain has fault clauses installed.
   void produce_block_faulted(Tick now);
 
+  /// The tail both block-production paths share: applies batch_ in
+  /// order (statuses, inclusion callbacks), then the timeout sweep.
+  void apply_batch(Tick now);
+
   /// Records `status` for tx if it is tracked.
   void record_status(const Transaction& tx, TxStatus status);
 
   /// Re-opens the chain and forgets per-run fault runtime: submission
   /// ordinals, tracked statuses, halt/finalize flags. Shared by reset()
-  /// and snap_rewind() (the fuzz executor's rewind-to-clean-state path).
+  /// and snap_rewind().
   void reset_fault_runtime();
 
   ChainId id_;

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "chain/blockchain.hpp"
+#include "common/splitmix.hpp"
 
 namespace xchain::chain {
 
@@ -122,13 +123,6 @@ FaultClause parse_clause(const std::string& text) {
   return clause;
 }
 
-/// SplitMix64 finalizer — the stateless drop hash's mixing primitive.
-std::uint64_t mix64(std::uint64_t z) {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
 }  // namespace
 
 std::string FaultClause::str() const {
@@ -214,9 +208,12 @@ bool ChainFaults::should_drop(ChainId chain, Tick now,
     // Pure function of (seed, chain, height, seq): replays byte-identically
     // across thread counts and rewind depths with no RNG state to reset.
     std::uint64_t h = 0xd6e8feb86659fd93ull ^ c.seed;
-    h = mix64(h + static_cast<std::uint64_t>(chain) * 0x9e3779b97f4a7c15ull);
-    h = mix64(h + static_cast<std::uint64_t>(now));
-    h = mix64(h + tx_seq);
+    // SplitMix64's finalizer is the mixing primitive.
+    const std::uint64_t chain_salt =
+        static_cast<std::uint64_t>(chain) * 0x9e3779b97f4a7c15ull;
+    h = splitmix64_mix(h + chain_salt);
+    h = splitmix64_mix(h + static_cast<std::uint64_t>(now));
+    h = splitmix64_mix(h + tx_seq);
     if (h % 1000 < static_cast<std::uint64_t>(c.permille)) return true;
   }
   return false;

@@ -125,7 +125,7 @@ void Ledger::restore() {
   contract_ = saved_contract_;
   // The layered stack's undo records describe the history this jump just
   // discarded; applying them afterwards would corrupt the book, and a
-  // world alternating legacy runs with tree sweeps must not accumulate an
+  // world alternating brute replays with tree sweeps must not accumulate an
   // ever-growing log. Invalidate the stack wholesale.
   undo_.clear();
   marks_.clear();

@@ -84,7 +84,7 @@ class Ledger {
   /// endowment instead of failing the sweep loudly). Jumping back to the
   /// baseline also invalidates (clears) the layered snapshot stack: its
   /// undo records describe history the restore just discarded, and a
-  /// world alternating legacy runs with tree sweeps must not accumulate
+  /// world alternating brute replays with tree sweeps must not accumulate
   /// an ever-growing log.
   void restore();
 

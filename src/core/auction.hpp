@@ -39,6 +39,12 @@ enum class BidderStrategy {
 /// The halt-style DeviationPlan a legacy BidderStrategy names.
 sim::DeviationPlan bidder_plan_of(BidderStrategy strategy, bool sealed);
 
+/// The auctioneer's declaration strategy a plan variant tag selects: tags
+/// 0-5 follow the AuctioneerStrategy order (0 = honest), anything else is
+/// kSplit. Sweeps fold the auctioneer's behaviour space into party 0's
+/// plan variants this way.
+AuctioneerStrategy auctioneer_strategy_of(int variant);
+
 struct AuctionConfig {
   Amount ticket_count = 10;
   /// One entry per bidder (party ids 1..n); 0 means that bidder has no
@@ -76,11 +82,12 @@ AuctionResult run_sealed_auction(const AuctionConfig& cfg,
                                  AuctioneerStrategy alice,
                                  const std::vector<BidderStrategy>& bidders);
 
-/// Reusable world for the ticket auction (open or sealed-bid): chains,
-/// contracts, endowments, bidder secrets, and signature caches built once;
-/// every run() rolls back to the post-setup checkpoint and replays one
-/// strategy combination. The free functions above delegate to a fresh
-/// world; sweep workers keep one per adapter clone.
+/// World for the ticket auction, open or sealed-bid (the sim/tree.hpp
+/// world contract): chains, contracts, endowments, bidder secrets,
+/// signature caches, and the persistent auctioneer and bidder actors, built
+/// once; sim::replay() rolls back to that state and replays one strategy
+/// combination. The free functions above replay on a fresh world; sweep
+/// workers keep one per adapter clone.
 class AuctionWorld {
  public:
   AuctionWorld(const AuctionConfig& cfg, bool sealed,
@@ -89,29 +96,14 @@ class AuctionWorld {
   AuctionWorld(AuctionWorld&&) noexcept;
   AuctionWorld& operator=(AuctionWorld&&) noexcept;
 
-  /// Resets the world and executes one schedule: the auctioneer's
-  /// declaration strategy plus one deviation plan per bidder (delays land
-  /// their submissions at the shifted tick; the contracts' inclusive
-  /// deadlines decide whether a late bid/reveal/forward still counts).
-  AuctionResult run(AuctioneerStrategy alice,
-                    const std::vector<sim::DeviationPlan>& bidder_plans);
-
-  /// Installs a chain environment (fault plan + resilience policy); call
-  /// once after construction. See TwoPartyWorld::set_environment.
-  void set_environment(const chain::ChainEnvironment& env);
-
-  /// Legacy strategy-enum form: maps each BidderStrategy onto its
-  /// halt-style plan via bidder_plan_of().
-  AuctionResult run(AuctioneerStrategy alice,
-                    const std::vector<BidderStrategy>& bidders);
-
-  /// Tree-executor access (sim/tree.hpp): persistent actors, built on the
-  /// first call; the auctioneer's strategy is installed per schedule like
-  /// the bidders' plans.
-  sim::TreeFrame& tree_frame();
-  void tree_set_plans(AuctioneerStrategy alice,
-                      const std::vector<sim::DeviationPlan>& bidder_plans);
-  AuctionResult tree_collect() const;
+  sim::TreeFrame& frame();
+  /// plans[0] is the auctioneer's: only its variant counts, selecting her
+  /// declaration strategy (auctioneer_strategy_of). plans[1..n] are the
+  /// bidders' (delays land their submissions at the shifted tick; the
+  /// contracts' inclusive deadlines decide whether a late
+  /// bid/reveal/forward still counts).
+  void set_plans(const std::vector<sim::DeviationPlan>& plans);
+  AuctionResult collect() const;
 
  private:
   struct Impl;

@@ -75,11 +75,11 @@ struct BridgeResult {
   chain::EventLog events;
 };
 
-/// Reusable world for the witness bridge (both variants): chains,
-/// contracts, and endowments are built once; every run() rolls the world
-/// back to the post-setup checkpoint and replays a schedule. The transfer
-/// path is tree-capable (persistent SnapshotState actors); account-create
-/// runs brute.
+/// World for the witness bridge, both variants (the sim/tree.hpp world
+/// contract): chains, contracts, endowments, and the persistent user and
+/// witness actors, built once; sim::replay() rolls the world back to that
+/// state and replays a schedule. The transfer path is tree-swept and
+/// load-bindable; account-create sweeps brute.
 class BridgeWorld {
  public:
   explicit BridgeWorld(const BridgeConfig& cfg,
@@ -87,7 +87,8 @@ class BridgeWorld {
 
   /// Bound form (core/binding.hpp): deploys the instance onto the shared
   /// MultiChain at `binding.party_base` / `binding.start`. Bound worlds
-  /// are driven through tree_frame()'s actors — run() throws.
+  /// are driven through frame()'s actors by the load scheduler, never
+  /// replayed.
   BridgeWorld(const BridgeConfig& cfg, const WorldBinding& binding,
               chain::TraceMode trace = chain::TraceMode::kOff);
 
@@ -95,19 +96,10 @@ class BridgeWorld {
   BridgeWorld(BridgeWorld&&) noexcept;
   BridgeWorld& operator=(BridgeWorld&&) noexcept;
 
-  /// Resets the world and executes one schedule (plans[0] the user,
-  /// plans[1..n] the witnesses).
-  BridgeResult run(const std::vector<sim::DeviationPlan>& plans);
-
-  /// Installs a chain environment (fault plan + resilience policy) on the
-  /// world's chains. Call once, right after construction; fault-active
-  /// worlds must run through run() (the brute executor).
-  void set_environment(const chain::ChainEnvironment& env);
-
-  /// Tree-executor access (sim/tree.hpp), transfer variant only.
-  sim::TreeFrame& tree_frame();
-  void tree_set_plans(const std::vector<sim::DeviationPlan>& plans);
-  BridgeResult tree_collect() const;
+  sim::TreeFrame& frame();
+  /// plans[0] is the user's, plans[1..n] the witnesses'.
+  void set_plans(const std::vector<sim::DeviationPlan>& plans);
+  BridgeResult collect() const;
 
  private:
   struct Impl;

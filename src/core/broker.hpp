@@ -50,11 +50,11 @@ BrokerResult run_broker_deal(const BrokerConfig& cfg,
                              sim::DeviationPlan alice, sim::DeviationPlan bob,
                              sim::DeviationPlan carol);
 
-/// Reusable world for the brokered sale: both chains, both contracts,
-/// premium tables, secrets, and signature caches built once; every run()
-/// rolls back to the post-setup checkpoint and replays one schedule.
-/// run_broker_deal delegates to a fresh world; sweep workers keep one per
-/// adapter clone.
+/// World for the brokered sale (the sim/tree.hpp world contract): both
+/// chains, both contracts, premium tables, secrets, signature caches, and
+/// the three persistent actors, built once; sim::replay() rolls back to
+/// that state and replays one schedule. run_broker_deal replays on a fresh
+/// world; sweep workers keep one per adapter clone.
 class BrokerWorld {
  public:
   explicit BrokerWorld(const BrokerConfig& cfg,
@@ -62,7 +62,8 @@ class BrokerWorld {
 
   /// Bound form (core/binding.hpp): deploys the instance onto the shared
   /// MultiChain at `binding.party_base` / `binding.start`. Bound worlds
-  /// are driven through tree_frame()'s actors — run() throws.
+  /// are driven through frame()'s actors by the load scheduler, never
+  /// replayed.
   BrokerWorld(const BrokerConfig& cfg, const WorldBinding& binding,
               chain::TraceMode trace = chain::TraceMode::kOff);
 
@@ -70,19 +71,10 @@ class BrokerWorld {
   BrokerWorld(BrokerWorld&&) noexcept;
   BrokerWorld& operator=(BrokerWorld&&) noexcept;
 
-  /// Resets the world and executes one schedule.
-  BrokerResult run(sim::DeviationPlan alice, sim::DeviationPlan bob,
-                   sim::DeviationPlan carol);
-
-  /// Installs a chain environment (fault plan + resilience policy); call
-  /// once after construction. See TwoPartyWorld::set_environment.
-  void set_environment(const chain::ChainEnvironment& env);
-
-  /// Tree-executor access (sim/tree.hpp): persistent actors, built on the
-  /// first call; plans index Alice, Bob, Carol in order.
-  sim::TreeFrame& tree_frame();
-  void tree_set_plans(const std::vector<sim::DeviationPlan>& plans);
-  BrokerResult tree_collect() const;
+  sim::TreeFrame& frame();
+  /// Plans index Alice, Bob, Carol in order.
+  void set_plans(const std::vector<sim::DeviationPlan>& plans);
+  BrokerResult collect() const;
 
  private:
   struct Impl;

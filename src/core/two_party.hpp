@@ -64,12 +64,12 @@ TwoPartyResult run_hedged_two_party(const TwoPartyConfig& cfg,
 inline constexpr int kBaseTwoPartyActions = 2;
 inline constexpr int kHedgedTwoPartyActions = 3;
 
-/// Reusable world for the hedged two-party swap: chains, contracts, and
-/// endowments are built once; every run() rolls the world back to that
-/// checkpoint and replays a schedule on it. A world constructed per call is
-/// exactly run_hedged_two_party (the free function delegates here); sweep
-/// workers instead keep one world per adapter clone and run thousands of
-/// schedules on it, skipping per-schedule chain construction entirely.
+/// World for the hedged two-party swap (the sim/tree.hpp world contract):
+/// chains, contracts, endowments, and the two persistent actors are built
+/// once; sim::replay() rolls the world back to that state and replays one
+/// schedule (run_hedged_two_party is a replay on a fresh traced world),
+/// while sweep workers keep one world per adapter clone and run thousands
+/// of schedules on it, skipping per-schedule construction entirely.
 class TwoPartyWorld {
  public:
   explicit TwoPartyWorld(const TwoPartyConfig& cfg,
@@ -77,8 +77,8 @@ class TwoPartyWorld {
 
   /// Bound form (core/binding.hpp): deploys the instance onto the shared
   /// MultiChain at `binding.party_base` / `binding.start`. Bound worlds
-  /// are driven through tree_frame()'s actors by the load scheduler —
-  /// run() (which resets and finalizes chains) throws.
+  /// are driven through frame()'s actors by the load scheduler, never
+  /// replayed (they cannot reset or finalize the shared chains).
   TwoPartyWorld(const TwoPartyConfig& cfg, const WorldBinding& binding,
                 chain::TraceMode trace = chain::TraceMode::kOff);
 
@@ -86,24 +86,10 @@ class TwoPartyWorld {
   TwoPartyWorld(TwoPartyWorld&&) noexcept;
   TwoPartyWorld& operator=(TwoPartyWorld&&) noexcept;
 
-  /// Resets the world and executes one schedule.
-  TwoPartyResult run(sim::DeviationPlan alice, sim::DeviationPlan bob);
-
-  /// Installs a chain environment (fault plan + resilience policy) on the
-  /// world's chains. Call once, right after construction: fault state is
-  /// configuration, not snapshotted world state, so it survives the
-  /// per-run reset. Fault-active worlds must run through run() (the brute
-  /// executor); the tree executor's snapshot layering does not admit
-  /// carried-over mempools.
-  void set_environment(const chain::ChainEnvironment& env);
-
-  /// Tree-executor access (sim/tree.hpp): the first call builds the
-  /// world's persistent, snapshot-capable actors; the executor owns the
-  /// tick loop, plan installation goes through tree_set_plans() and
-  /// result assembly through tree_collect().
-  sim::TreeFrame& tree_frame();
-  void tree_set_plans(const std::vector<sim::DeviationPlan>& plans);
-  TwoPartyResult tree_collect() const;
+  sim::TreeFrame& frame();
+  /// plans[0] is Alice's, plans[1] Bob's.
+  void set_plans(const std::vector<sim::DeviationPlan>& plans);
+  TwoPartyResult collect() const;
 
  private:
   struct Impl;

@@ -1,18 +1,11 @@
 #include "crypto/rng.hpp"
 
+#include "common/splitmix.hpp"
 #include "crypto/sha256.hpp"
 
 namespace xchain::crypto {
 
 namespace {
-
-std::uint64_t splitmix64(std::uint64_t& x) {
-  x += 0x9e3779b97f4a7c15ull;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
 
 inline std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
@@ -22,7 +15,7 @@ inline std::uint64_t rotl(std::uint64_t x, int k) {
 
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t x = seed;
-  for (auto& s : s_) s = splitmix64(x);
+  for (auto& s : s_) s = splitmix64_next(x);
 }
 
 Rng::Rng(std::string_view label) {
@@ -30,7 +23,7 @@ Rng::Rng(std::string_view label) {
   std::uint64_t seed = 0;
   for (int i = 0; i < 8; ++i) seed = (seed << 8) | d[i];
   std::uint64_t x = seed;
-  for (auto& s : s_) s = splitmix64(x);
+  for (auto& s : s_) s = splitmix64_next(x);
 }
 
 std::uint64_t Rng::next_u64() {

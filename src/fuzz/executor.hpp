@@ -6,17 +6,17 @@
 // enumerated spaces: it explores a whole plan-space trie depth-first and
 // memoizes by consulted decisions. A fuzzer needs the opposite shape —
 // run ONE arbitrary schedule cheaply, over and over, on a reusable world
-// — so this executor keeps just the bottom layer of that machinery: the
-// persistent TreeFrame actors, a single slot-0 checkpoint (state at the
-// start of tick 0; every run rewinds to it and replays the full horizon),
-// and the ConsultLog. The log is the fuzzer's coverage signal: the
-// sequence of (party, ordinal, policy, tick) coordinates a run actually
-// consulted is a compiler-instrumentation-free execution fingerprint —
-// two runs with the same consult path and outcomes exercised the same
-// behaviour, however different their raw plan encodings look.
+// — so this executor is just the adapter's brute replay (sim/tree.hpp
+// replay(), on the adapter's reusable world) with a ConsultLog attached to
+// the world's persistent actors. The log is the fuzzer's coverage signal:
+// the sequence of (party, ordinal, policy, tick) coordinates a run
+// actually consulted is a compiler-instrumentation-free execution
+// fingerprint — two runs with the same consult path and outcomes
+// exercised the same behaviour, however different their raw plan
+// encodings look.
 //
-// Adapters without tree hooks (e.g. the planted self-test adapter) fall
-// back to ProtocolAdapter::run() with an outcome-only signature.
+// Adapters without a tree frame (e.g. the planted self-test adapter, or
+// the account-create bridge) get an outcome-only signature.
 
 #include <cstdint>
 #include <vector>
@@ -55,13 +55,11 @@ class ScheduleExecutor {
   /// Executes `s` from a clean tick-0 world and audits the outcomes.
   RunOutcome run(const sim::Schedule& s);
 
-  /// Whether the adapter is driven through its tree hooks (consult-path
-  /// signatures) or the run() fallback (outcome-only signatures).
+  /// Whether runs carry consult-path signatures (the adapter exposes its
+  /// world's frame) or outcome-only ones.
   bool tree_driven() const { return frame_ != nullptr; }
 
  private:
-  void rewind_to_start();
-
   const sim::ProtocolAdapter& adapter_;
   sim::TreeFrame* frame_ = nullptr;
   sim::ConsultLog log_;

@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <string>
 
+#include "common/splitmix.hpp"
+
 namespace xchain::fuzz {
 
 /// SplitMix64 stream. Copyable: forking the state forks the stream.
@@ -19,12 +21,7 @@ class Rng {
   explicit Rng(std::uint64_t seed) : state_(seed) {}
 
   /// Next 64 uniform bits.
-  std::uint64_t next() {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ull);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-  }
+  std::uint64_t next() { return splitmix64_next(state_); }
 
   /// Uniform value in [0, n); n == 0 returns 0. The modulo bias over a
   /// 64-bit stream is immaterial for mutation scheduling (n is tiny).

@@ -4,17 +4,18 @@
 #include <atomic>
 #include <cstdint>
 #include <exception>
-#include <functional>
 #include <iterator>
 #include <limits>
 #include <map>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
 #include <utility>
 
 #include "chain/snapshot.hpp"
 #include "core/crr.hpp"
 #include "sim/consult.hpp"
+#include "sim/scheduler.hpp"
 
 namespace xchain::sim {
 
@@ -254,18 +255,12 @@ class TreeExecutor {
   TreeExecutor(const ProtocolAdapter& adapter, TreeFrame& frame)
       : adapter_(adapter), frame_(frame) {
     for (Party* p : frame_.actors) p->set_consult_log(&log_);
-    // The world may arrive dirty: a previous tree sweep leaves end-of-run
-    // state behind, with its snapshot stack intact. Slot 0 of a surviving
-    // stack is always the clean start-of-tick-0 baseline, so rewind to it.
-    // When there is no stack — a fresh world, or one whose stack a legacy
-    // run() invalidated (MultiChain::reset's restore() clears it, since
-    // the undo log cannot describe history across a baseline jump) — the
-    // post-setup reset() lands on the same baseline.
-    if (frame_.chains->snap_depth() > 0) {
-      rewind_to(0, /*integrity_check=*/false);
-    } else {
-      frame_.chains->reset();
-    }
+    // The world may arrive dirty (end-of-run state from an earlier sweep
+    // or replay): restart it at the start-of-tick-0 baseline. That clears
+    // the chains' snapshot stack, and every actor's slot 0 — pinned at
+    // construction — is the same baseline, so the first executed tick
+    // pushes only the chains' slot 0 (see push_slot).
+    restart(frame_);
     // Slot 0 backs every full replay and is never overwritten once
     // created, so its hash stays fresh for the whole sweep.
     hashes_.assign(1, world_hash());
@@ -427,8 +422,12 @@ class TreeExecutor {
   void push_slot(Tick t, bool with_hash) {
     const std::size_t d = static_cast<std::size_t>(t);
     frame_.chains->snap_push();
-    for (Party* p : frame_.actors) {
-      p->snapshot(chain::SnapshotOp::kPush, d);
+    // The actors' slot 0 is their pinned construction-time state
+    // (sim/tree.hpp pin_start), never pushed here.
+    if (d > 0) {
+      for (Party* p : frame_.actors) {
+        p->snapshot(chain::SnapshotOp::kPush, d);
+      }
     }
     if (with_hash && hashed_to_ >= d) {
       if (hashes_.size() <= d) hashes_.resize(d + 1);
@@ -439,13 +438,13 @@ class TreeExecutor {
     }
   }
 
-  void rewind_to(Tick t, bool integrity_check) {
+  void rewind_to(Tick t) {
     const std::size_t d = static_cast<std::size_t>(t);
     frame_.chains->snap_rewind(d);
     for (Party* p : frame_.actors) {
       p->snapshot(chain::SnapshotOp::kRestore, d);
     }
-    if (integrity_check && d < hashed_to_ && world_hash() != hashes_[d]) {
+    if (d < hashed_to_ && world_hash() != hashes_[d]) {
       throw std::logic_error(
           adapter_.name() + ": tree executor state hash mismatch after "
           "rewind to tick " + std::to_string(t) +
@@ -575,7 +574,7 @@ class TreeExecutor {
 
   void execute(const Schedule& s, Tick resume) {
     if (frame_.chains->snap_depth() > static_cast<std::size_t>(resume)) {
-      rewind_to(resume, /*integrity_check=*/true);
+      rewind_to(resume);
     }
     adapter_.tree_set_plans(s);
     if (resume == 0) {
@@ -587,13 +586,13 @@ class TreeExecutor {
       log_.begin_resumed_run(resume);
     }
     const bool with_hash = verifying();
-    for (Tick t = resume; t < frame_.horizon; ++t) {
-      if (frame_.chains->snap_depth() <= static_cast<std::size_t>(t)) {
-        push_slot(t, with_hash);
-      }
-      for (Party* p : frame_.actors) p->tick(*frame_.chains, t);
-      frame_.chains->produce_all(t);
-    }
+    run_ticks(*frame_.chains, frame_.actors, resume, frame_.horizon,
+              [&](Tick t) {
+                if (frame_.chains->snap_depth() <=
+                    static_cast<std::size_t>(t)) {
+                  push_slot(t, with_hash);
+                }
+              });
     last_key_ = key_;
     has_last_ = true;
   }
@@ -762,29 +761,19 @@ SweepReport ScenarioRunner::sweep(const SweepOptions& opts) const {
 
   // An active chain environment forces the brute executor: faults carry
   // mempool contents across blocks, and the tree executor's layered
-  // snapshots require an empty mempool at every branch point. It also
-  // requires world reuse — the legacy fresh-world run paths build their
-  // chains outside the adapter's environment hook and would silently
-  // sweep a reliable world.
+  // snapshots require an empty mempool at every branch point.
   const bool env_active = adapter_.environment().active();
-  if (env_active && !adapter_.world_reuse()) {
-    throw std::invalid_argument(
-        "a chain environment (faults/resilience) needs world reuse, but "
-        "adapter '" +
-        adapter_.name() + "' has world reuse disabled");
-  }
   if (env_active && opts.executor == SweepExecutor::kTree) {
     throw std::invalid_argument(
         "SweepOptions.executor = kTree, but adapter '" + adapter_.name() +
         "' has an active chain environment (fault-injected sweeps run on "
         "the brute executor)");
   }
-  const bool tree_capable = !env_active && adapter_.world_reuse() &&
-                            adapter_.tree_frame() != nullptr;
+  const bool tree_capable = !env_active && adapter_.tree_frame() != nullptr;
   if (opts.executor == SweepExecutor::kTree && !tree_capable) {
     throw std::invalid_argument(
         "SweepOptions.executor = kTree, but adapter '" + adapter_.name() +
-        "' is not tree-capable (needs world reuse and tree hooks)");
+        "' is not tree-capable (it has no tree frame)");
   }
   const bool use_tree =
       opts.executor == SweepExecutor::kTree ||
@@ -902,183 +891,162 @@ SweepReport ScenarioRunner::sweep(const SweepOptions& opts) const {
 }
 
 // ---------------------------------------------------------------------------
-// Bound instances (load generation)
+// WorldAdapter: the generic adapter body
 // ---------------------------------------------------------------------------
 
 namespace {
 
-/// Generic LoadInstance over a bound world (core/binding.hpp): owns the
-/// world, exposes its tree frame's persistent actors and horizon to the
-/// load scheduler, and maps the end-of-run result through the owning
-/// adapter's outcome assembly under the all-conforming schedule. The
-/// collect functor captures an adapter copy by value, so the instance
-/// outlives whoever bound it.
-template <class World, class Result>
-class BoundWorldInstance final : public LoadInstance {
+/// A bound world under the all-conforming schedule — what bind_instance()
+/// hands the load generator. Owns the world and a copy of the protocol
+/// description, so it outlives the adapter that bound it. The world's
+/// actors are built conforming, so no plans need installing.
+template <class Protocol>
+class BoundInstance final : public LoadInstance {
  public:
-  using CollectFn = std::function<std::vector<PartyOutcome>(const Result&)>;
-
-  BoundWorldInstance(std::unique_ptr<World> world, std::size_t parties,
-                     CollectFn collect)
-      : world_(std::move(world)), collect_(std::move(collect)) {
-    TreeFrame& frame = world_->tree_frame();
-    world_->tree_set_plans(
-        std::vector<DeviationPlan>(parties, DeviationPlan::conforming()));
-    actors_ = frame.actors;
-    end_ = frame.horizon;
+  BoundInstance(const Protocol& protocol, const core::WorldBinding& binding)
+      : protocol_(protocol),
+        world_(protocol.cfg, binding),
+        frame_(world_.frame()) {
+    schedule_.plans.assign(protocol.party_count(),
+                           DeviationPlan::conforming());
+    schedule_.label = binding.tag;
   }
 
-  const std::vector<Party*>& actors() const override { return actors_; }
-  Tick end_tick() const override { return end_; }
+  const std::vector<Party*>& actors() const override { return frame_.actors; }
+  Tick end_tick() const override { return frame_.horizon; }
   std::vector<PartyOutcome> collect() const override {
-    return collect_(world_->tree_collect());
+    return protocol_.outcomes(world_.collect(), schedule_);
   }
 
  private:
-  std::unique_ptr<World> world_;
-  CollectFn collect_;
-  std::vector<Party*> actors_;
-  Tick end_ = 0;
+  Protocol protocol_;
+  typename Protocol::World world_;
+  const TreeFrame& frame_;
+  Schedule schedule_;
 };
-
-/// The all-conforming schedule a bound instance is audited under.
-Schedule conforming_schedule(std::size_t parties, std::string label) {
-  Schedule s;
-  s.plans.assign(parties, DeviationPlan::conforming());
-  s.label = std::move(label);
-  return s;
-}
 
 }  // namespace
 
-// ---------------------------------------------------------------------------
-// Two-party swap
-// ---------------------------------------------------------------------------
-
-core::TwoPartyWorld& TwoPartySwapAdapter::world() const {
-  return world_.ensure([this] {
-    auto w =
-        std::make_unique<core::TwoPartyWorld>(cfg_, chain::TraceMode::kOff);
-    if (environment().active()) w->set_environment(environment());
-    return w;
-  });
+template <class Protocol>
+typename WorldAdapter<Protocol>::World& WorldAdapter<Protocol>::world()
+    const {
+  if (!world_) {
+    world_ = make_world(protocol_, chain::TraceMode::kOff);
+    // Fault state is configuration, not snapshotted world state: installed
+    // once here, it survives every per-run reset.
+    if (environment().active()) {
+      world_->frame().chains->set_environment(environment());
+    }
+  }
+  return *world_;
 }
 
-std::vector<PartyOutcome> TwoPartySwapAdapter::outcomes_from(
+template <class Protocol>
+PartyPlanSpace WorldAdapter<Protocol>::plan_space(
+    PartyId p, const StrategySpace& strategies, std::size_t cap) const {
+  if constexpr (requires { protocol_.plan_space(p, strategies, cap); }) {
+    return protocol_.plan_space(p, strategies, cap);
+  } else {
+    return ProtocolAdapter::plan_space(p, strategies, cap);
+  }
+}
+
+template <class Protocol>
+std::string WorldAdapter<Protocol>::plan_label(
+    PartyId p, const DeviationPlan& plan) const {
+  if constexpr (requires { protocol_.plan_label(p, plan); }) {
+    return protocol_.plan_label(p, plan);
+  } else {
+    return ProtocolAdapter::plan_label(p, plan);
+  }
+}
+
+template <class Protocol>
+std::unique_ptr<ProtocolAdapter> WorldAdapter<Protocol>::clone() const {
+  auto copy = std::make_unique<WorldAdapter>(protocol_);
+  copy->set_environment(environment());
+  return copy;
+}
+
+template <class Protocol>
+std::vector<PartyOutcome> WorldAdapter<Protocol>::run(
+    const Schedule& s) const {
+  return protocol_.outcomes(replay(world(), s.plans, delta()), s);
+}
+
+template <class Protocol>
+std::unique_ptr<LoadInstance> WorldAdapter<Protocol>::bind_instance(
+    const core::WorldBinding& binding) const {
+  if constexpr (std::is_constructible_v<World, decltype(protocol_.cfg),
+                                        const core::WorldBinding&>) {
+    bool bindable = true;
+    if constexpr (requires { protocol_.bindable(); }) {
+      bindable = protocol_.bindable();
+    }
+    if (bindable) {
+      return std::make_unique<BoundInstance<Protocol>>(protocol_, binding);
+    }
+  }
+  return ProtocolAdapter::bind_instance(binding);
+}
+
+template <class Protocol>
+TreeFrame* WorldAdapter<Protocol>::tree_frame() const {
+  if constexpr (requires { protocol_.tree_capable(); }) {
+    if (!protocol_.tree_capable()) return nullptr;
+  }
+  return &world().frame();
+}
+
+template <class Protocol>
+void WorldAdapter<Protocol>::tree_set_plans(const Schedule& s) const {
+  world().set_plans(s.plans);
+}
+
+template <class Protocol>
+std::vector<PartyOutcome> WorldAdapter<Protocol>::tree_collect(
+    const Schedule& s) const {
+  return protocol_.outcomes(world().collect(), s);
+}
+
+template class WorldAdapter<TwoPartyProtocol>;
+template class WorldAdapter<MultiPartyProtocol>;
+template class WorldAdapter<AuctionProtocol>;
+template class WorldAdapter<BrokerProtocol>;
+template class WorldAdapter<BootstrapProtocol>;
+template class WorldAdapter<BridgeProtocol>;
+
+// ---------------------------------------------------------------------------
+// Outcome mappings: each protocol's hedge floors
+// ---------------------------------------------------------------------------
+
+std::vector<PartyOutcome> TwoPartyProtocol::outcomes(
     const core::TwoPartyResult& r, const Schedule& s) const {
-  PartyOutcome alice{"alice", s.plans[0].conforms_within(cfg_.delta), r.alice,
+  PartyOutcome alice{"alice", s.plans[0].conforms_within(cfg.delta), r.alice,
                      {}};
-  if (r.alice_lockup > 0) alice.bound.min_coin_delta = cfg_.premium_b;
-  PartyOutcome bob{"bob", s.plans[1].conforms_within(cfg_.delta), r.bob, {}};
-  if (r.bob_lockup > 0) bob.bound.min_coin_delta = cfg_.premium_a;
+  if (r.alice_lockup > 0) alice.bound.min_coin_delta = cfg.premium_b;
+  PartyOutcome bob{"bob", s.plans[1].conforms_within(cfg.delta), r.bob, {}};
+  if (r.bob_lockup > 0) bob.bound.min_coin_delta = cfg.premium_a;
   return {std::move(alice), std::move(bob)};
 }
 
-std::vector<PartyOutcome> TwoPartySwapAdapter::run(const Schedule& s) const {
-  if (s.plans.size() != 2) {
-    throw std::invalid_argument("two-party schedule needs 2 plans");
-  }
-  const core::TwoPartyResult r =
-      world_reuse()
-          ? world().run(s.plans[0], s.plans[1])
-          : core::run_hedged_two_party(cfg_, s.plans[0], s.plans[1]);
-  return outcomes_from(r, s);
-}
-
-std::unique_ptr<LoadInstance> TwoPartySwapAdapter::bind_instance(
-    const core::WorldBinding& binding) const {
-  auto w = std::make_unique<core::TwoPartyWorld>(cfg_, binding);
-  return std::make_unique<
-      BoundWorldInstance<core::TwoPartyWorld, core::TwoPartyResult>>(
-      std::move(w), party_count(),
-      [a = *this, s = conforming_schedule(2, binding.tag)](
-          const core::TwoPartyResult& r) { return a.outcomes_from(r, s); });
-}
-
-TreeFrame* TwoPartySwapAdapter::tree_frame() const {
-  if (!world_reuse()) return nullptr;
-  return &world().tree_frame();
-}
-
-void TwoPartySwapAdapter::tree_set_plans(const Schedule& s) const {
-  world().tree_set_plans(s.plans);
-}
-
-std::vector<PartyOutcome> TwoPartySwapAdapter::tree_collect(
-    const Schedule& s) const {
-  return outcomes_from(world().tree_collect(), s);
-}
-
-// ---------------------------------------------------------------------------
-// Multi-party ARC swap
-// ---------------------------------------------------------------------------
-
-core::MultiPartyWorld& MultiPartySwapAdapter::world() const {
-  return world_.ensure([this] {
-    auto w =
-        std::make_unique<core::MultiPartyWorld>(cfg_, chain::TraceMode::kOff);
-    if (environment().active()) w->set_environment(environment());
-    return w;
-  });
-}
-
-std::vector<PartyOutcome> MultiPartySwapAdapter::outcomes_from(
+std::vector<PartyOutcome> MultiPartyProtocol::outcomes(
     const core::MultiPartyResult& r, const Schedule& s) const {
   std::vector<PartyOutcome> outcomes;
-  for (std::size_t v = 0; v < cfg_.g.size(); ++v) {
+  for (std::size_t v = 0; v < cfg.g.size(); ++v) {
     PartyOutcome o{"party-" + std::to_string(v),
-                   s.plans[v].conforms_within(cfg_.delta), r.payoffs[v], {}};
-    if (cfg_.hedged) {
-      o.bound.min_coin_delta = cfg_.premium_unit * r.assets_refunded[v];
+                   s.plans[v].conforms_within(cfg.delta), r.payoffs[v], {}};
+    if (cfg.hedged) {
+      o.bound.min_coin_delta = cfg.premium_unit * r.assets_refunded[v];
     }
     outcomes.push_back(std::move(o));
   }
   return outcomes;
 }
 
-std::vector<PartyOutcome> MultiPartySwapAdapter::run(
-    const Schedule& s) const {
-  const core::MultiPartyResult r =
-      world_reuse() ? world().run(s.plans)
-                    : core::run_multi_party_swap(cfg_, s.plans);
-  return outcomes_from(r, s);
-}
-
-TreeFrame* MultiPartySwapAdapter::tree_frame() const {
-  if (!world_reuse()) return nullptr;
-  return &world().tree_frame();
-}
-
-void MultiPartySwapAdapter::tree_set_plans(const Schedule& s) const {
-  world().tree_set_plans(s.plans);
-}
-
-std::vector<PartyOutcome> MultiPartySwapAdapter::tree_collect(
-    const Schedule& s) const {
-  return outcomes_from(world().tree_collect(), s);
-}
-
-// ---------------------------------------------------------------------------
-// Ticket auction
-// ---------------------------------------------------------------------------
-
 namespace {
 
-core::AuctioneerStrategy auctioneer_of(int variant) {
-  switch (variant) {
-    case 0: return core::AuctioneerStrategy::kHonest;
-    case 1: return core::AuctioneerStrategy::kNoSetup;
-    case 2: return core::AuctioneerStrategy::kAbandon;
-    case 3: return core::AuctioneerStrategy::kDeclareLoser;
-    case 4: return core::AuctioneerStrategy::kCoinOnly;
-    case 5: return core::AuctioneerStrategy::kTicketOnly;
-    default: return core::AuctioneerStrategy::kSplit;
-  }
-}
-
-}  // namespace
-
-std::string TicketAuctionAdapter::variant_label(int variant) {
+std::string auctioneer_label(int variant) {
   switch (variant) {
     case 0: return "honest";
     case 1: return "no-setup";
@@ -1090,9 +1058,14 @@ std::string TicketAuctionAdapter::variant_label(int variant) {
   }
 }
 
-PartyPlanSpace TicketAuctionAdapter::plan_space(
-    PartyId p, const StrategySpace& strategies, std::size_t cap) const {
-  if (p != 0) return ProtocolAdapter::plan_space(p, strategies, cap);
+}  // namespace
+
+PartyPlanSpace AuctionProtocol::plan_space(PartyId p,
+                                           const StrategySpace& strategies,
+                                           std::size_t cap) const {
+  if (p != 0) {
+    return party_plan_space(action_count(p), cfg.delta, strategies, cap);
+  }
   // The auctioneer's behaviour space is her seven declaration strategies,
   // variant-tagged onto otherwise-conforming plans (she has no halt/delay
   // ordinals of her own: the contracts confine her to publishing or
@@ -1106,39 +1079,30 @@ PartyPlanSpace TicketAuctionAdapter::plan_space(
   return out;
 }
 
-std::string TicketAuctionAdapter::plan_label(
-    PartyId p, const DeviationPlan& plan) const {
-  if (p == 0) return variant_label(plan.variant());
+std::string AuctionProtocol::plan_label(PartyId p,
+                                        const DeviationPlan& plan) const {
+  if (p == 0) return auctioneer_label(plan.variant());
   return plan.str();
 }
 
-core::AuctionWorld& TicketAuctionAdapter::world() const {
-  return world_.ensure([this] {
-    auto w = std::make_unique<core::AuctionWorld>(cfg_, sealed_,
-                                                  chain::TraceMode::kOff);
-    if (environment().active()) w->set_environment(environment());
-    return w;
-  });
-}
-
-std::vector<PartyOutcome> TicketAuctionAdapter::outcomes_from(
+std::vector<PartyOutcome> AuctionProtocol::outcomes(
     const core::AuctionResult& r, const Schedule& s) const {
   const int variant = s.plans[0].variant();
-  const core::AuctioneerStrategy strat = auctioneer_of(variant);
+  const core::AuctioneerStrategy strat = core::auctioneer_strategy_of(variant);
   std::vector<PartyOutcome> outcomes;
   outcomes.push_back(
-      {"auctioneer", s.plans[0].conforms_within(cfg_.delta), r.auctioneer,
+      {"auctioneer", s.plans[0].conforms_within(cfg.delta), r.auctioneer,
        {}});
   for (std::size_t i = 0; i + 1 < s.plans.size(); ++i) {
     PartyOutcome o{"bidder-" + std::to_string(i + 1),
-                   s.plans[i + 1].conforms_within(cfg_.delta), r.bidders[i],
+                   s.plans[i + 1].conforms_within(cfg.delta), r.bidders[i],
                    {}};
     const auto it = o.payoff.by_symbol.find("ticket");
     if (it != o.payoff.by_symbol.end() && it->second > 0) {
       o.bound.goods_received = true;
-      o.bound.spend_allowance = cfg_.bids[i];  // never pay above the bid
+      o.bound.spend_allowance = cfg.bids[i];  // never pay above the bid
     } else if (variant != 0 && strat != core::AuctioneerStrategy::kNoSetup &&
-               !r.completed && cfg_.bids[i] > 0) {
+               !r.completed && cfg.bids[i] > 0) {
       // §9.2: a bidder locked its bid (the auctioneer did set up, so
       // bidding happened) and the deviant auctioneer killed the auction
       // without shipping it tickets — a conforming bidder is owed the
@@ -1148,63 +1112,21 @@ std::vector<PartyOutcome> TicketAuctionAdapter::outcomes_from(
       // config, never the bidder's own plan) is what lets the tree
       // executor serve cached outcomes to schedules differing only in
       // never-consulted plan coordinates.
-      o.bound.min_coin_delta = cfg_.premium_unit;
+      o.bound.min_coin_delta = cfg.premium_unit;
     }
     outcomes.push_back(std::move(o));
   }
   return outcomes;
 }
 
-std::vector<PartyOutcome> TicketAuctionAdapter::run(const Schedule& s) const {
-  if (s.plans.size() != party_count()) {
-    throw std::invalid_argument("auction schedule plan count mismatch");
-  }
-  const std::vector<sim::DeviationPlan> bidder_plans(s.plans.begin() + 1,
-                                                     s.plans.end());
-  const core::AuctioneerStrategy strat = auctioneer_of(s.plans[0].variant());
-  const core::AuctionResult r =
-      world_reuse() ? world().run(strat, bidder_plans)
-                    : core::AuctionWorld(cfg_, sealed_).run(strat,
-                                                            bidder_plans);
-  return outcomes_from(r, s);
-}
-
-TreeFrame* TicketAuctionAdapter::tree_frame() const {
-  if (!world_reuse()) return nullptr;
-  return &world().tree_frame();
-}
-
-void TicketAuctionAdapter::tree_set_plans(const Schedule& s) const {
-  world().tree_set_plans(
-      auctioneer_of(s.plans[0].variant()),
-      std::vector<sim::DeviationPlan>(s.plans.begin() + 1, s.plans.end()));
-}
-
-std::vector<PartyOutcome> TicketAuctionAdapter::tree_collect(
-    const Schedule& s) const {
-  return outcomes_from(world().tree_collect(), s);
-}
-
-// ---------------------------------------------------------------------------
-// Brokered sale
-// ---------------------------------------------------------------------------
-
-core::BrokerWorld& BrokerDealAdapter::world() const {
-  return world_.ensure([this] {
-    auto w = std::make_unique<core::BrokerWorld>(cfg_, chain::TraceMode::kOff);
-    if (environment().active()) w->set_environment(environment());
-    return w;
-  });
-}
-
-std::vector<PartyOutcome> BrokerDealAdapter::outcomes_from(
+std::vector<PartyOutcome> BrokerProtocol::outcomes(
     const core::BrokerResult& r, const Schedule& s) const {
   // Alice never escrows a principal of her own (§8: she brokers other
   // people's assets), so her hedge floor is breaking even. Bob and Carol
   // are sellers: a locked-and-refunded principal earns at least the base
   // premium p (§8.2's single-round formula compensates every lock-up with
   // at least one premium unit).
-  PartyOutcome alice{"alice", s.plans[0].conforms_within(cfg_.delta), r.alice,
+  PartyOutcome alice{"alice", s.plans[0].conforms_within(cfg.delta), r.alice,
                      {}};
   // A seller's lock-up earns the premium floor only when the sale failed
   // for them: principal locked, refunded, AND the counter-asset never
@@ -1217,201 +1139,75 @@ std::vector<PartyOutcome> BrokerDealAdapter::outcomes_from(
     const auto it = d.by_symbol.find(symbol);
     return it != d.by_symbol.end() && it->second > 0;
   };
-  PartyOutcome bob{"bob", s.plans[1].conforms_within(cfg_.delta), r.bob, {}};
+  PartyOutcome bob{"bob", s.plans[1].conforms_within(cfg.delta), r.bob, {}};
   if (r.bob_lockup > 0 && !was_paid(r.bob, "coin")) {
-    bob.bound.min_coin_delta = cfg_.premium_unit;
+    bob.bound.min_coin_delta = cfg.premium_unit;
   }
-  PartyOutcome carol{"carol", s.plans[2].conforms_within(cfg_.delta), r.carol,
+  PartyOutcome carol{"carol", s.plans[2].conforms_within(cfg.delta), r.carol,
                      {}};
   if (r.carol_lockup > 0 && !was_paid(r.carol, "ticket")) {
-    carol.bound.min_coin_delta = cfg_.premium_unit;
+    carol.bound.min_coin_delta = cfg.premium_unit;
   }
   return {std::move(alice), std::move(bob), std::move(carol)};
 }
 
-std::vector<PartyOutcome> BrokerDealAdapter::run(const Schedule& s) const {
-  if (s.plans.size() != 3) {
-    throw std::invalid_argument("broker schedule needs 3 plans");
-  }
-  const core::BrokerResult r =
-      world_reuse()
-          ? world().run(s.plans[0], s.plans[1], s.plans[2])
-          : core::run_broker_deal(cfg_, s.plans[0], s.plans[1], s.plans[2]);
-  return outcomes_from(r, s);
-}
-
-std::unique_ptr<LoadInstance> BrokerDealAdapter::bind_instance(
-    const core::WorldBinding& binding) const {
-  auto w = std::make_unique<core::BrokerWorld>(cfg_, binding);
-  return std::make_unique<
-      BoundWorldInstance<core::BrokerWorld, core::BrokerResult>>(
-      std::move(w), party_count(),
-      [a = *this, s = conforming_schedule(3, binding.tag)](
-          const core::BrokerResult& r) { return a.outcomes_from(r, s); });
-}
-
-TreeFrame* BrokerDealAdapter::tree_frame() const {
-  if (!world_reuse()) return nullptr;
-  return &world().tree_frame();
-}
-
-void BrokerDealAdapter::tree_set_plans(const Schedule& s) const {
-  world().tree_set_plans(s.plans);
-}
-
-std::vector<PartyOutcome> BrokerDealAdapter::tree_collect(
-    const Schedule& s) const {
-  return outcomes_from(world().tree_collect(), s);
-}
-
-// ---------------------------------------------------------------------------
-// Bootstrapped premium ladder, geometric or CRR-priced
-// ---------------------------------------------------------------------------
-
-BootstrapSwapAdapter::BootstrapSwapAdapter(core::BootstrapConfig cfg,
-                                           std::string name)
-    : cfg_(std::move(cfg)),
-      name_(name.empty()
-                ? "bootstrap-ladder-r" + std::to_string(cfg_.rounds)
-                : std::move(name)) {
+BootstrapProtocol::BootstrapProtocol(core::BootstrapConfig c,
+                                     std::string name)
+    : cfg(std::move(c)),
+      label(name.empty() ? "bootstrap-ladder-r" + std::to_string(cfg.rounds)
+                         : std::move(name)) {
   // Floors from the effective ladder: an unredeemed escrowed principal is
   // refunded together with the rung-1 award on its own chain (§6 FINAL,
   // mirroring §5.2's p_b for Alice). Bob's banana rung-1 carries p_a + p_b,
   // but when both principals were locked, Alice's refund claims the apricot
   // rung-1 that Bob deposited — so his guaranteed net is the difference,
   // exactly the two-party p_a.
-  const core::BootstrapSchedule amounts = core::bootstrap_amounts(cfg_);
-  alice_floor_ = amounts.apricot[1];
-  bob_floor_ = std::max<Amount>(amounts.banana[1] - amounts.apricot[1], 0);
+  const core::BootstrapSchedule amounts = core::bootstrap_amounts(cfg);
+  alice_floor = amounts.apricot[1];
+  bob_floor = std::max<Amount>(amounts.banana[1] - amounts.apricot[1], 0);
 }
 
-core::BootstrapWorld& BootstrapSwapAdapter::world() const {
-  return world_.ensure([this] {
-    auto w =
-        std::make_unique<core::BootstrapWorld>(cfg_, chain::TraceMode::kOff);
-    if (environment().active()) w->set_environment(environment());
-    return w;
-  });
-}
-
-std::vector<PartyOutcome> BootstrapSwapAdapter::outcomes_from(
+std::vector<PartyOutcome> BootstrapProtocol::outcomes(
     const core::BootstrapResult& r, const Schedule& s) const {
-  PartyOutcome alice{"alice", s.plans[0].conforms_within(cfg_.delta), r.alice,
+  PartyOutcome alice{"alice", s.plans[0].conforms_within(cfg.delta), r.alice,
                      {}};
-  if (r.alice_lockup > 0) alice.bound.min_coin_delta = alice_floor_;
-  PartyOutcome bob{"bob", s.plans[1].conforms_within(cfg_.delta), r.bob, {}};
-  if (r.bob_lockup > 0) bob.bound.min_coin_delta = bob_floor_;
+  if (r.alice_lockup > 0) alice.bound.min_coin_delta = alice_floor;
+  PartyOutcome bob{"bob", s.plans[1].conforms_within(cfg.delta), r.bob, {}};
+  if (r.bob_lockup > 0) bob.bound.min_coin_delta = bob_floor;
   return {std::move(alice), std::move(bob)};
 }
 
-std::vector<PartyOutcome> BootstrapSwapAdapter::run(const Schedule& s) const {
-  if (s.plans.size() != 2) {
-    throw std::invalid_argument("bootstrap schedule needs 2 plans");
-  }
-  const core::BootstrapResult r =
-      world_reuse() ? world().run(s.plans[0], s.plans[1])
-                    : core::run_bootstrap_swap(cfg_, s.plans[0], s.plans[1]);
-  return outcomes_from(r, s);
-}
-
-TreeFrame* BootstrapSwapAdapter::tree_frame() const {
-  if (!world_reuse()) return nullptr;
-  return &world().tree_frame();
-}
-
-void BootstrapSwapAdapter::tree_set_plans(const Schedule& s) const {
-  world().tree_set_plans(s.plans);
-}
-
-std::vector<PartyOutcome> BootstrapSwapAdapter::tree_collect(
-    const Schedule& s) const {
-  return outcomes_from(world().tree_collect(), s);
-}
-
-// ---------------------------------------------------------------------------
-// Witness/attestation bridge
-// ---------------------------------------------------------------------------
-
-core::BridgeWorld& BridgeAdapter::world() const {
-  return world_.ensure([this] {
-    auto w = std::make_unique<core::BridgeWorld>(cfg_, chain::TraceMode::kOff);
-    if (environment().active()) w->set_environment(environment());
-    return w;
-  });
-}
-
-std::vector<PartyOutcome> BridgeAdapter::outcomes_from(
+std::vector<PartyOutcome> BridgeProtocol::outcomes(
     const core::BridgeResult& r, const Schedule& s) const {
   // Every bound term is path-determined (variant + run result + config,
   // never the party's own plan) — required for tree-executor dedup
   // correctness, same as the auction adapters.
   std::vector<PartyOutcome> out;
-  PartyOutcome user{"user", s.plans[0].conforms_within(cfg_.delta),
+  PartyOutcome user{"user", s.plans[0].conforms_within(cfg.delta),
                     r.payoffs[0], {}};
   if (r.transfer_completed) {
     // The wrapped asset arrived; the witness reward pool is the user's
     // legitimate spend in exchange for it.
     user.bound.goods_received = true;
-    user.bound.spend_allowance = cfg_.reward_pool();
-  } else if (r.committed && cfg_.hedged()) {
+    user.bound.spend_allowance = cfg.reward_pool();
+  } else if (r.committed && cfg.hedged()) {
     // Stranded commit (witness stall / quorum failure): the forfeited
     // bonds must cover the eager-reward outlay plus the premium floor.
-    user.bound.min_coin_delta = cfg_.premium_unit;
+    user.bound.min_coin_delta = cfg.premium_unit;
   }
   out.push_back(std::move(user));
-  for (PartyId w = 1; w <= static_cast<PartyId>(cfg_.n_witnesses); ++w) {
+  for (PartyId w = 1; w <= static_cast<PartyId>(cfg.n_witnesses); ++w) {
     const std::size_t i = static_cast<std::size_t>(w);
     PartyOutcome o{"witness-" + std::to_string(w),
-                   s.plans[i].conforms_within(cfg_.delta), r.payoffs[i], {}};
+                   s.plans[i].conforms_within(cfg.delta), r.payoffs[i], {}};
     // On a completed transfer every conforming witness attested in time
     // and collected its reward; otherwise break-even (a conforming
     // witness's bond always returns — its own settle report carries the
     // attester set that clears it).
-    if (r.transfer_completed) o.bound.min_coin_delta = cfg_.witness_reward;
+    if (r.transfer_completed) o.bound.min_coin_delta = cfg.witness_reward;
     out.push_back(std::move(o));
   }
   return out;
-}
-
-std::vector<PartyOutcome> BridgeAdapter::run(const Schedule& s) const {
-  if (s.plans.size() != party_count()) {
-    throw std::invalid_argument(name() + " schedule needs " +
-                                std::to_string(party_count()) + " plans");
-  }
-  const core::BridgeResult r = world_reuse() ? world().run(s.plans)
-                                             : core::run_bridge(cfg_, s.plans);
-  return outcomes_from(r, s);
-}
-
-std::unique_ptr<LoadInstance> BridgeAdapter::bind_instance(
-    const core::WorldBinding& binding) const {
-  // Transfer variant only: account-create has no persistent-actor path.
-  if (cfg_.variant != core::BridgeVariant::kTransfer) {
-    throw std::logic_error(name() + ": bind_instance not implemented");
-  }
-  auto w = std::make_unique<core::BridgeWorld>(cfg_, binding);
-  return std::make_unique<
-      BoundWorldInstance<core::BridgeWorld, core::BridgeResult>>(
-      std::move(w), party_count(),
-      [a = *this, s = conforming_schedule(party_count(), binding.tag)](
-          const core::BridgeResult& r) { return a.outcomes_from(r, s); });
-}
-
-TreeFrame* BridgeAdapter::tree_frame() const {
-  // Transfer path only: account-create sweeps brute.
-  if (!world_reuse() || cfg_.variant != core::BridgeVariant::kTransfer) {
-    return nullptr;
-  }
-  return &world().tree_frame();
-}
-
-void BridgeAdapter::tree_set_plans(const Schedule& s) const {
-  world().tree_set_plans(s.plans);
-}
-
-std::vector<PartyOutcome> BridgeAdapter::tree_collect(
-    const Schedule& s) const {
-  return outcomes_from(world().tree_collect(), s);
 }
 
 BootstrapSwapAdapter make_crr_ladder_adapter(core::BootstrapConfig cfg,

@@ -29,16 +29,16 @@
 // bound Δ (from which delay menus derive), and — when the generic generator
 // doesn't fit — the party's plan space itself. ScenarioRunner takes an
 // adapter, enumerates the cross product of per-party plan spaces, runs
-// every schedule through the engine (by default each adapter resets one
-// reusable traceless world per schedule; set_world_reuse(false) rebuilds a
-// fresh traced MultiChain per run instead), and feeds each final state to
-// payoff_audit, which flags any schedule where a conforming party loses
-// more than its earned premiums.
+// every schedule through the engine (each adapter replays schedules on
+// one reusable traceless world — sim/tree.hpp's replay(), the same
+// routine the core::run_* functions run on a fresh traced world), and
+// feeds each final state to payoff_audit, which flags any schedule where a
+// conforming party loses more than its earned premiums.
 //
 // Serial sweeps default to the prefix-sharing *schedule-tree executor*
-// instead of replaying every schedule from tick 0. Each tree-capable
-// adapter keeps one set of persistent actors (sim/tree.hpp TreeFrame); the
-// executor snapshots the whole world — ledgers, contracts, actors — at
+// instead of replaying every schedule from tick 0. It drives the
+// adapter's world frame (sim/tree.hpp TreeFrame, the persistent actors);
+// the executor snapshots the whole world — ledgers, contracts, actors — at
 // every tick boundary onto a layered checkpoint stack
 // (Blockchain::snap_push / snap_rewind, chain/snapshot.hpp), logs which
 // (party, ordinal) plan coordinates each run actually consulted
@@ -67,14 +67,16 @@
 // Adapters for all the protocol families — two-party hedged swap (§5),
 // multi-party ARC swap (§7), ticket auction open + sealed (§9), the
 // three-party brokered sale (§8), the bootstrapped premium-ladder swap
-// (§6), and the CRR-priced ladder (§4 + §6) — live at the bottom of this
-// header, but new engines should NOT be hand-wired to these classes:
-// register a named factory in sim/registry.hpp instead. The registry maps
-// stable protocol names to ParamSet-driven adapter factories, and the
+// (§6), the CRR-priced ladder (§4 + §6), and the witness bridges — are one
+// generic WorldAdapter over a small protocol description each, at the
+// bottom of this header. New engines should still not be hand-wired to
+// them: register a named factory in sim/registry.hpp instead. The registry
+// maps stable protocol names to ParamSet-driven adapter factories, and the
 // campaign layer (sim/campaign.hpp, the `xchain-sweep` CLI, CI) sweeps
 // whole configuration × strategy grids through it with zero recompilation —
 // that is the entry point future fuzzing / scaling PRs should drive.
 
+#include <concepts>
 #include <cstddef>
 #include <limits>
 #include <memory>
@@ -128,13 +130,12 @@ class LoadInstance {
 };
 
 /// How ScenarioRunner talks to one protocol engine. run() must execute the
-/// schedule on clean state so schedules never contaminate each other — by
-/// default each adapter instance lazily builds ONE reusable, traceless
-/// world (chains + contracts + endowments) and rolls it back to its
-/// post-setup checkpoint per schedule, which is what makes deep sweeps
-/// cheap; set_world_reuse(false) switches run() to the legacy path that
-/// rebuilds a fresh, fully-traced world per schedule (the equivalence
-/// tests pin that both paths report identical results).
+/// schedule on clean state so schedules never contaminate each other; the
+/// protocol adapters (WorldAdapter below) build ONE reusable, traceless
+/// world per adapter instance and replay every schedule on it from its
+/// post-setup state, which is what makes deep sweeps cheap
+/// (tests/sweep_equivalence_test.cpp pins each run identical to a fresh,
+/// fully traced world's).
 class ProtocolAdapter {
  public:
   virtual ~ProtocolAdapter() = default;
@@ -142,14 +143,9 @@ class ProtocolAdapter {
   virtual std::string name() const = 0;
   virtual std::size_t party_count() const = 0;
 
-  /// Debug/equivalence knob: false makes every run() rebuild a fresh
-  /// fully-traced world per schedule instead of resetting a reused one.
-  void set_world_reuse(bool on) { world_reuse_ = on; }
-  bool world_reuse() const { return world_reuse_; }
-
   /// Chain-side execution environment (chain/fault.hpp): the fault plan
   /// injected into this adapter's chains and the resilience policy its
-  /// parties follow. Installed on the world when it is (re)built, so set
+  /// parties follow. Installed on the world when it is built, so set
   /// it before the first run; the default inactive environment keeps the
   /// substrate byte-identical to the historical reliable one. Active
   /// environments are brute-executor only — carried-over mempool entries
@@ -187,10 +183,11 @@ class ProtocolAdapter {
   }
 
   /// An independent adapter driving the same protocol with the same
-  /// parameters. Parallel sweeps give every worker thread its own clone:
-  /// adapters cache a reusable world (stateful chains) on themselves, so
-  /// workers must never share one instance. Cloning copies configuration
-  /// only — each clone builds its own world on first run().
+  /// parameters and environment. Parallel sweeps give every worker thread
+  /// its own clone: adapters keep a reusable world (stateful chains) on
+  /// themselves, so workers must never share one instance. A clone is a
+  /// new adapter built from the same configuration — it builds its own
+  /// world on first use.
   virtual std::unique_ptr<ProtocolAdapter> clone() const = 0;
 
   virtual std::vector<PartyOutcome> run(const Schedule& s) const = 0;
@@ -209,12 +206,11 @@ class ProtocolAdapter {
   }
 
   /// --- Schedule-tree executor hooks ---------------------------------------
-  /// The reusable world's tree frame (persistent actors + chains + horizon),
-  /// built on first use, or nullptr when the adapter cannot be tree-swept
-  /// (no engine support, or world reuse disabled — the tree is meaningless
-  /// on throwaway worlds). When this returns non-null, tree_set_plans /
-  /// tree_collect must be implemented; they are const for the same reason
-  /// run() is (the world is a mutable cache on a logically-const adapter).
+  /// The reusable world's frame (persistent actors + chains + horizon),
+  /// built on first use, or nullptr when the adapter cannot be tree-swept.
+  /// When this returns non-null, tree_set_plans / tree_collect must be
+  /// implemented; they are const for the same reason run() is (the world
+  /// is a mutable cache on a logically-const adapter).
   virtual TreeFrame* tree_frame() const { return nullptr; }
   /// Installs one schedule's plans (and variant knobs, e.g. the
   /// auctioneer's declaration strategy) on the frame's persistent actors.
@@ -222,44 +218,15 @@ class ProtocolAdapter {
     (void)s;
     throw std::logic_error(name() + ": tree executor hooks not implemented");
   }
-  /// Maps the world's current end-of-run state to per-party outcomes — the
-  /// tree analogue of run()'s result assembly, sharing its code.
+  /// Maps the world's current end-of-run state to per-party outcomes —
+  /// run()'s result assembly, without the replay.
   virtual std::vector<PartyOutcome> tree_collect(const Schedule& s) const {
     (void)s;
     throw std::logic_error(name() + ": tree executor hooks not implemented");
   }
 
  private:
-  bool world_reuse_ = true;
   chain::ChainEnvironment env_;
-};
-
-/// Lazily-built per-adapter world cache. Deliberately NOT copied by the
-/// copy/assign operations: every adapter clone builds its own world, so
-/// parallel workers never share chain state. `mutable` because the world
-/// is a cache the logically-const run() path fills and reuses.
-template <class W>
-class WorldCache {
- public:
-  WorldCache() = default;
-  WorldCache(const WorldCache&) {}
-  WorldCache& operator=(const WorldCache&) {
-    w_.reset();
-    return *this;
-  }
-  WorldCache(WorldCache&&) noexcept = default;
-  WorldCache& operator=(WorldCache&&) noexcept = default;
-
-  /// The cached world, built by `make` (returning std::unique_ptr<W>) on
-  /// first use.
-  template <class Make>
-  W& ensure(Make&& make) const {
-    if (!w_) w_ = make();
-    return *w_;
-  }
-
- private:
-  mutable std::unique_ptr<W> w_;
 };
 
 /// Result of sweeping one adapter's schedule space.
@@ -316,7 +283,8 @@ struct SweepReport {
 enum class SweepExecutor {
   /// Serial sweeps of tree-capable adapters use the schedule-tree
   /// executor; everything else (parallel shards, adapters without tree
-  /// support, world reuse off) brute-force replays every schedule.
+  /// support, active chain environments) brute-force replays every
+  /// schedule.
   kAuto,
   /// Force the schedule-tree executor (always serial). Throws
   /// std::invalid_argument when the adapter is not tree-capable.
@@ -388,25 +356,68 @@ class ScenarioRunner {
 };
 
 // ---------------------------------------------------------------------------
-// Concrete adapters
+// Protocol adapters: one generic WorldAdapter over six protocol descriptions
 // ---------------------------------------------------------------------------
 
-/// Hedged two-party swap (§5.2, Figure 1). Bound: a conforming party whose
-/// principal was locked up and refunded earns at least the counterparty's
-/// premium (p_b for Alice, p_a for Bob).
-class TwoPartySwapAdapter final : public ProtocolAdapter {
- public:
-  explicit TwoPartySwapAdapter(core::TwoPartyConfig cfg) : cfg_(cfg) {}
+/// Builds a private world for `protocol` (a protocol description below)
+/// with the given trace mode: World(cfg, trace), unless the protocol needs
+/// more constructor arguments and says so with a make_world(trace) member.
+template <class Protocol>
+std::unique_ptr<typename Protocol::World> make_world(
+    const Protocol& protocol, chain::TraceMode trace) {
+  if constexpr (requires { protocol.make_world(trace); }) {
+    return protocol.make_world(trace);
+  } else {
+    return std::make_unique<typename Protocol::World>(protocol.cfg, trace);
+  }
+}
 
-  std::string name() const override { return "hedged-two-party"; }
-  std::size_t party_count() const override { return 2; }
-  int action_count(PartyId) const override {
-    return core::kHedgedTwoPartyActions;
+/// The ProtocolAdapter for one protocol world (sim/tree.hpp world
+/// contract), written once. `Protocol` is a small copyable description —
+/// the config `cfg`, the World type, name(), party_count(),
+/// action_count(p), and outcomes(result, schedule), the mapping from the
+/// world's result to audited per-party outcomes and their hedge floors —
+/// plus optional hooks: plan_space / plan_label (variant-tagged parties),
+/// tree_capable() and bindable() (default true when the world supports
+/// it), and make_world(trace).
+///
+/// The adapter owns ONE private traceless world, built on first use with
+/// the adapter's environment installed, and reuses it for every schedule:
+/// run() is sim::replay on it, and the tree hooks hand its frame to the
+/// schedule-tree executor. Adapters are not copyable; clone() builds a new
+/// adapter from the same description (its world is built on its own first
+/// use), so parallel workers never share chain state. bind_instance()
+/// builds a bound world on the shared chain, for protocols whose world has
+/// a bound form.
+template <class Protocol>
+class WorldAdapter final : public ProtocolAdapter {
+ public:
+  using World = typename Protocol::World;
+
+  template <class... Args>
+    requires std::constructible_from<Protocol, Args...>
+  explicit WorldAdapter(Args&&... args)
+      : protocol_(std::forward<Args>(args)...) {}
+
+  const Protocol& protocol() const { return protocol_; }
+  const auto& config() const { return protocol_.cfg; }
+
+  std::string name() const override { return protocol_.name(); }
+  std::size_t party_count() const override {
+    return protocol_.party_count();
   }
-  Tick delta() const override { return cfg_.delta; }
-  std::unique_ptr<ProtocolAdapter> clone() const override {
-    return std::make_unique<TwoPartySwapAdapter>(*this);
+  int action_count(PartyId p) const override {
+    return protocol_.action_count(p);
   }
+  Tick delta() const override { return protocol_.cfg.delta; }
+  PartyPlanSpace plan_space(
+      PartyId p, const StrategySpace& strategies,
+      std::size_t cap =
+          std::numeric_limits<std::size_t>::max()) const override;
+  std::string plan_label(PartyId p,
+                         const DeviationPlan& plan) const override;
+
+  std::unique_ptr<ProtocolAdapter> clone() const override;
   std::vector<PartyOutcome> run(const Schedule& s) const override;
   std::unique_ptr<LoadInstance> bind_instance(
       const core::WorldBinding& binding) const override;
@@ -415,125 +426,103 @@ class TwoPartySwapAdapter final : public ProtocolAdapter {
   std::vector<PartyOutcome> tree_collect(const Schedule& s) const override;
 
  private:
-  core::TwoPartyWorld& world() const;
-  std::vector<PartyOutcome> outcomes_from(const core::TwoPartyResult& r,
-                                          const Schedule& s) const;
+  World& world() const;
 
-  core::TwoPartyConfig cfg_;
-  WorldCache<core::TwoPartyWorld> world_;
+  Protocol protocol_;
+  /// The reusable private world — a cache the logically-const run() path
+  /// fills on first use.
+  mutable std::unique_ptr<World> world_;
+};
+
+/// Hedged two-party swap (§5.2, Figure 1). Bound: a conforming party whose
+/// principal was locked up and refunded earns at least the counterparty's
+/// premium (p_b for Alice, p_a for Bob).
+struct TwoPartyProtocol {
+  using World = core::TwoPartyWorld;
+  explicit TwoPartyProtocol(core::TwoPartyConfig c) : cfg(c) {}
+
+  std::string name() const { return "hedged-two-party"; }
+  std::size_t party_count() const { return 2; }
+  int action_count(PartyId) const { return core::kHedgedTwoPartyActions; }
+  std::vector<PartyOutcome> outcomes(const core::TwoPartyResult& r,
+                                     const Schedule& s) const;
+
+  core::TwoPartyConfig cfg;
 };
 
 /// Multi-party ARC swap on a digraph (§7). Bound (Lemma 6): a conforming
 /// party earns at least premium_unit per locked-and-refunded asset.
-class MultiPartySwapAdapter final : public ProtocolAdapter {
- public:
-  explicit MultiPartySwapAdapter(core::MultiPartyConfig cfg)
-      : cfg_(std::move(cfg)) {}
+struct MultiPartyProtocol {
+  using World = core::MultiPartyWorld;
+  explicit MultiPartyProtocol(core::MultiPartyConfig c) : cfg(std::move(c)) {}
 
-  std::string name() const override {
-    return std::string(cfg_.hedged ? "hedged" : "base") + "-multi-party-n" +
-           std::to_string(cfg_.g.size());
+  std::string name() const {
+    return std::string(cfg.hedged ? "hedged" : "base") + "-multi-party-n" +
+           std::to_string(cfg.g.size());
   }
-  std::size_t party_count() const override { return cfg_.g.size(); }
-  int action_count(PartyId) const override {
-    return cfg_.hedged ? core::kMultiPartyHedgedActions
-                       : core::kMultiPartyBaseActions;
+  std::size_t party_count() const { return cfg.g.size(); }
+  int action_count(PartyId) const {
+    return cfg.hedged ? core::kMultiPartyHedgedActions
+                      : core::kMultiPartyBaseActions;
   }
-  Tick delta() const override { return cfg_.delta; }
-  std::unique_ptr<ProtocolAdapter> clone() const override {
-    return std::make_unique<MultiPartySwapAdapter>(*this);
-  }
-  std::vector<PartyOutcome> run(const Schedule& s) const override;
-  TreeFrame* tree_frame() const override;
-  void tree_set_plans(const Schedule& s) const override;
-  std::vector<PartyOutcome> tree_collect(const Schedule& s) const override;
+  std::vector<PartyOutcome> outcomes(const core::MultiPartyResult& r,
+                                     const Schedule& s) const;
 
- private:
-  core::MultiPartyWorld& world() const;
-  std::vector<PartyOutcome> outcomes_from(const core::MultiPartyResult& r,
-                                          const Schedule& s) const;
-
-  core::MultiPartyConfig cfg_;
-  WorldCache<core::MultiPartyWorld> world_;
+  core::MultiPartyConfig cfg;
 };
 
 /// Ticket auction (§9), open or sealed-bid. Party 0 is the auctioneer: the
 /// smart contracts confine her to publishing (or withholding) hashkeys, so
 /// her whole behaviour space is the seven declaration strategies — folded
-/// into the plan space as variant-tagged plans (variant 0 = honest) rather
-/// than halt ordinals. Bidder ordinals: open 0 = bid, 1 = forward; sealed
-/// 0 = commit, 1 = reveal, 2 = forward. Bound (Lemma 8): a conforming
-/// bidder's coins move only against the tickets, and never by more than
-/// its bid.
-class TicketAuctionAdapter final : public ProtocolAdapter {
- public:
-  TicketAuctionAdapter(core::AuctionConfig cfg, bool sealed)
-      : cfg_(std::move(cfg)), sealed_(sealed) {}
+/// into the plan space as variant-tagged plans (variant 0 = honest,
+/// core::auctioneer_strategy_of) rather than halt ordinals. Bidder
+/// ordinals: open 0 = bid, 1 = forward; sealed 0 = commit, 1 = reveal,
+/// 2 = forward. Bound (Lemma 8): a conforming bidder's coins move only
+/// against the tickets, and never by more than its bid.
+struct AuctionProtocol {
+  using World = core::AuctionWorld;
+  AuctionProtocol(core::AuctionConfig c, bool s)
+      : cfg(std::move(c)), sealed(s) {}
 
-  std::string name() const override {
-    return sealed_ ? "sealed-ticket-auction" : "ticket-auction";
+  std::string name() const {
+    return sealed ? "sealed-ticket-auction" : "ticket-auction";
   }
-  std::size_t party_count() const override { return cfg_.bids.size() + 1; }
-  int action_count(PartyId p) const override {
+  std::size_t party_count() const { return cfg.bids.size() + 1; }
+  int action_count(PartyId p) const {
     if (p == 0) return 0;  // the auctioneer deviates via variants only
-    return sealed_ ? 3 : 2;
+    return sealed ? 3 : 2;
   }
-  Tick delta() const override { return cfg_.delta; }
   /// Party 0's space is the seven variant-tagged auctioneer plans; bidders
   /// use the generic generator.
   PartyPlanSpace plan_space(PartyId p, const StrategySpace& strategies,
-                            std::size_t cap) const override;
-  std::string plan_label(PartyId p,
-                         const DeviationPlan& plan) const override;
-  /// The auctioneer's declaration-strategy name for a variant tag.
-  static std::string variant_label(int variant);
-  std::unique_ptr<ProtocolAdapter> clone() const override {
-    return std::make_unique<TicketAuctionAdapter>(*this);
+                            std::size_t cap) const;
+  /// The auctioneer's plans render as her declaration-strategy name.
+  std::string plan_label(PartyId p, const DeviationPlan& plan) const;
+  std::vector<PartyOutcome> outcomes(const core::AuctionResult& r,
+                                     const Schedule& s) const;
+  std::unique_ptr<World> make_world(chain::TraceMode trace) const {
+    return std::make_unique<World>(cfg, sealed, trace);
   }
-  std::vector<PartyOutcome> run(const Schedule& s) const override;
-  TreeFrame* tree_frame() const override;
-  void tree_set_plans(const Schedule& s) const override;
-  std::vector<PartyOutcome> tree_collect(const Schedule& s) const override;
 
- private:
-  core::AuctionWorld& world() const;
-  std::vector<PartyOutcome> outcomes_from(const core::AuctionResult& r,
-                                          const Schedule& s) const;
-
-  core::AuctionConfig cfg_;
-  bool sealed_;
-  WorldCache<core::AuctionWorld> world_;
+  core::AuctionConfig cfg;
+  bool sealed;
 };
 
 /// Three-party brokered sale (§8, after Herlihy–Liskov–Shrira): Alice
 /// brokers Bob's tickets to Carol. Bound (§8.2): a conforming seller whose
 /// principal was locked up and refunded earns at least the base premium p;
 /// Alice escrows nothing, so her floor is breaking even.
-class BrokerDealAdapter final : public ProtocolAdapter {
- public:
-  explicit BrokerDealAdapter(core::BrokerConfig cfg) : cfg_(cfg) {}
+struct BrokerProtocol {
+  using World = core::BrokerWorld;
+  explicit BrokerProtocol(core::BrokerConfig c) : cfg(c) {}
 
-  std::string name() const override { return "hedged-broker"; }
-  std::size_t party_count() const override { return 3; }
-  int action_count(PartyId) const override { return core::kBrokerActions; }
-  Tick delta() const override { return cfg_.delta; }
-  std::unique_ptr<ProtocolAdapter> clone() const override {
-    return std::make_unique<BrokerDealAdapter>(*this);
-  }
-  std::vector<PartyOutcome> run(const Schedule& s) const override;
-  std::unique_ptr<LoadInstance> bind_instance(
-      const core::WorldBinding& binding) const override;
-  TreeFrame* tree_frame() const override;
-  void tree_set_plans(const Schedule& s) const override;
-  std::vector<PartyOutcome> tree_collect(const Schedule& s) const override;
+  std::string name() const { return "hedged-broker"; }
+  std::size_t party_count() const { return 3; }
+  int action_count(PartyId) const { return core::kBrokerActions; }
+  std::vector<PartyOutcome> outcomes(const core::BrokerResult& r,
+                                     const Schedule& s) const;
 
- private:
-  core::BrokerWorld& world() const;
-  std::vector<PartyOutcome> outcomes_from(const core::BrokerResult& r,
-                                          const Schedule& s) const;
-
-  core::BrokerConfig cfg_;
-  WorldCache<core::BrokerWorld> world_;
+  core::BrokerConfig cfg;
 };
 
 /// Bootstrapped premium-ladder swap (§6, Figure 2), driven through the
@@ -542,40 +531,24 @@ class BrokerDealAdapter final : public ProtocolAdapter {
 /// its own chain (net of the rung-1 premium it forfeits on the
 /// counterparty's chain when both principals were escrowed — the exact
 /// two-party floors p_b and p_a generalized to the ladder amounts).
-/// Deliberately final: parallel workers clone adapters by value, so ladder
-/// variants (like the CRR-priced one) are expressed as config factories,
-/// never as subclasses that could slice through the base clone().
-class BootstrapSwapAdapter final : public ProtocolAdapter {
- public:
-  explicit BootstrapSwapAdapter(core::BootstrapConfig cfg,
-                                std::string name = "");
+/// Ladder variants (like the CRR-priced one) are expressed as config
+/// factories with their own name, never as new adapter types.
+struct BootstrapProtocol {
+  using World = core::BootstrapWorld;
+  explicit BootstrapProtocol(core::BootstrapConfig c, std::string name = "");
 
-  std::string name() const override { return name_; }
-  std::size_t party_count() const override { return 2; }
-  int action_count(PartyId) const override {
-    return core::bootstrap_action_count(cfg_.rounds);
+  std::string name() const { return label; }
+  std::size_t party_count() const { return 2; }
+  int action_count(PartyId) const {
+    return core::bootstrap_action_count(cfg.rounds);
   }
-  Tick delta() const override { return cfg_.delta; }
-  std::unique_ptr<ProtocolAdapter> clone() const override {
-    return std::make_unique<BootstrapSwapAdapter>(*this);
-  }
-  std::vector<PartyOutcome> run(const Schedule& s) const override;
-  TreeFrame* tree_frame() const override;
-  void tree_set_plans(const Schedule& s) const override;
-  std::vector<PartyOutcome> tree_collect(const Schedule& s) const override;
+  std::vector<PartyOutcome> outcomes(const core::BootstrapResult& r,
+                                     const Schedule& s) const;
 
-  const core::BootstrapConfig& config() const { return cfg_; }
-
- private:
-  core::BootstrapWorld& world() const;
-  std::vector<PartyOutcome> outcomes_from(const core::BootstrapResult& r,
-                                          const Schedule& s) const;
-
-  core::BootstrapConfig cfg_;
-  std::string name_;
-  WorldCache<core::BootstrapWorld> world_;
-  Amount alice_floor_ = 0;  ///< apricot rung-1 premium (Bob's deposit)
-  Amount bob_floor_ = 0;    ///< banana rung-1 minus apricot rung-1
+  core::BootstrapConfig cfg;
+  std::string label;
+  Amount alice_floor = 0;  ///< apricot rung-1 premium (Bob's deposit)
+  Amount bob_floor = 0;    ///< banana rung-1 minus apricot rung-1
 };
 
 /// Witness/attestation bridge (XChainBridge-style door account + claim
@@ -588,44 +561,47 @@ class BootstrapSwapAdapter final : public ProtocolAdapter {
 /// commit was stranded by a witness stall or quorum failure (funded by
 /// the forfeited bonds); a conforming witness nets at least its
 /// attestation cost — the reward on a completed transfer, break-even
-/// otherwise. The transfer path is tree-capable; account-create sweeps
-/// brute.
-class BridgeAdapter final : public ProtocolAdapter {
- public:
-  explicit BridgeAdapter(core::BridgeConfig cfg) : cfg_(cfg) {}
+/// otherwise. The transfer path is tree-capable and load-bindable;
+/// account-create sweeps brute.
+struct BridgeProtocol {
+  using World = core::BridgeWorld;
+  explicit BridgeProtocol(core::BridgeConfig c) : cfg(c) {}
 
-  std::string name() const override {
-    return cfg_.variant == core::BridgeVariant::kTransfer
-               ? "bridge-transfer"
-               : "bridge-account-create";
+  std::string name() const {
+    return transfer() ? "bridge-transfer" : "bridge-account-create";
   }
-  std::size_t party_count() const override {
-    return static_cast<std::size_t>(cfg_.party_count());
+  std::size_t party_count() const {
+    return static_cast<std::size_t>(cfg.party_count());
   }
-  int action_count(PartyId p) const override {
-    return p == 0 ? cfg_.user_actions() : cfg_.witness_actions();
+  int action_count(PartyId p) const {
+    return p == 0 ? cfg.user_actions() : cfg.witness_actions();
   }
-  Tick delta() const override { return cfg_.delta; }
-  std::unique_ptr<ProtocolAdapter> clone() const override {
-    return std::make_unique<BridgeAdapter>(*this);
-  }
-  std::vector<PartyOutcome> run(const Schedule& s) const override;
-  std::unique_ptr<LoadInstance> bind_instance(
-      const core::WorldBinding& binding) const override;
-  TreeFrame* tree_frame() const override;
-  void tree_set_plans(const Schedule& s) const override;
-  std::vector<PartyOutcome> tree_collect(const Schedule& s) const override;
+  bool tree_capable() const { return transfer(); }
+  bool bindable() const { return transfer(); }
+  std::vector<PartyOutcome> outcomes(const core::BridgeResult& r,
+                                     const Schedule& s) const;
 
-  const core::BridgeConfig& config() const { return cfg_; }
+  bool transfer() const {
+    return cfg.variant == core::BridgeVariant::kTransfer;
+  }
 
- private:
-  core::BridgeWorld& world() const;
-  std::vector<PartyOutcome> outcomes_from(const core::BridgeResult& r,
-                                          const Schedule& s) const;
-
-  core::BridgeConfig cfg_;
-  WorldCache<core::BridgeWorld> world_;
+  core::BridgeConfig cfg;
 };
+
+using TwoPartySwapAdapter = WorldAdapter<TwoPartyProtocol>;
+using MultiPartySwapAdapter = WorldAdapter<MultiPartyProtocol>;
+using TicketAuctionAdapter = WorldAdapter<AuctionProtocol>;
+using BrokerDealAdapter = WorldAdapter<BrokerProtocol>;
+using BootstrapSwapAdapter = WorldAdapter<BootstrapProtocol>;
+using BridgeAdapter = WorldAdapter<BridgeProtocol>;
+
+// Defined, and instantiated for the six protocols, in scenario.cpp.
+extern template class WorldAdapter<TwoPartyProtocol>;
+extern template class WorldAdapter<MultiPartyProtocol>;
+extern template class WorldAdapter<AuctionProtocol>;
+extern template class WorldAdapter<BrokerProtocol>;
+extern template class WorldAdapter<BootstrapProtocol>;
+extern template class WorldAdapter<BridgeProtocol>;
 
 /// Market parameters for CRR premium pricing (§4).
 struct CrrMarket {

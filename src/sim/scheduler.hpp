@@ -1,5 +1,7 @@
 #pragma once
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "chain/blockchain.hpp"
@@ -7,6 +9,68 @@
 #include "sim/party.hpp"
 
 namespace xchain::sim {
+
+/// The tick loop every executor shares: brute replays and Scheduler runs,
+/// the schedule-tree executor, and the fuzzer all execute ticks
+/// [from, to) through it. Per tick, `before_tick(t)` runs first (the tree
+/// executor pushes its snapshot slot there), then every actor ticks in
+/// order, then every chain produces block t. The hook is a template
+/// parameter, so the loop costs no indirect call per tick.
+template <class BeforeTick>
+void run_ticks(chain::MultiChain& chains, const std::vector<Party*>& actors,
+               Tick from, Tick to, BeforeTick&& before_tick) {
+  for (Tick t = from; t < to; ++t) {
+    before_tick(t);
+    for (Party* p : actors) p->tick(chains, t);
+    chains.produce_all(t);
+  }
+}
+
+inline void run_ticks(chain::MultiChain& chains,
+                      const std::vector<Party*>& actors, Tick from, Tick to) {
+  run_ticks(chains, actors, from, to, [](Tick) {});
+}
+
+/// Checks every deployed contract's claimed deadline ladder
+/// (chain::Contract::deadline_schedule) against the Scheduler's timing
+/// contract below: deadlines must be spaced >= `delta` per scheduled step,
+/// the first one measured from tick 0. Throws std::logic_error naming the
+/// chain, contract, step, and offending pair — a protocol whose deadlines
+/// are packed tighter than Delta silently voids the "Delta-1 delays are
+/// always timely" guarantee every timely-delay sweep and fault-tolerance
+/// envelope leans on, so debug builds check every brute replay
+/// (sim/tree.hpp replay()).
+inline void validate_deadlines(const chain::MultiChain& chains, Tick delta) {
+  for (ChainId c = 0; c < static_cast<ChainId>(chains.count()); ++c) {
+    const chain::Blockchain& bc = chains.at(c);
+    for (std::size_t i = 0; i < bc.contract_count(); ++i) {
+      const std::vector<Tick> ladder = bc.contract_at(i).deadline_schedule();
+      Tick prev = 0;
+      for (std::size_t step = 0; step < ladder.size(); ++step) {
+        if (ladder[step] - prev < delta) {
+          // Append-only string building (GCC 12 -Wrestrict false positive).
+          std::string what = "Scheduler::validate_deadlines: contract ";
+          what += std::to_string(i);
+          what += " on chain '";
+          what += bc.name();
+          what += "' places deadline ";
+          what += std::to_string(ladder[step]);
+          what += " (step ";
+          what += std::to_string(step);
+          what += ") only ";
+          what += std::to_string(ladder[step] - prev);
+          what += " ticks after ";
+          what += step == 0 ? "the protocol start" : "its predecessor";
+          what += "; the inclusive-deadline timing contract requires >= ";
+          what += std::to_string(delta);
+          what += " (Delta) per scheduled step";
+          throw std::logic_error(what);
+        }
+        prev = ladder[step];
+      }
+    }
+  }
+}
 
 /// Synchronous round scheduler (paper §3.1).
 ///
@@ -57,56 +121,14 @@ class Scheduler {
 
   /// Runs ticks [now, horizon).
   void run_until(Tick horizon) {
-    for (; now_ < horizon; ++now_) {
-      for (Party* p : parties_) {
-        p->tick(chains_, now_);
-      }
-      chains_.produce_all(now_);
-    }
+    if (now_ >= horizon) return;
+    run_ticks(chains_, parties_, now_, horizon);
+    now_ = horizon;
   }
 
-  /// Checks every deployed contract's claimed deadline ladder
-  /// (chain::Contract::deadline_schedule) against the timing contract
-  /// above: deadlines must be spaced >= `delta` per scheduled step, the
-  /// first one measured from tick 0. Throws std::logic_error naming the
-  /// chain, contract, step, and offending pair — a protocol whose
-  /// deadlines are packed tighter than Delta silently voids the
-  /// "Delta-1 delays are always timely" guarantee every timely-delay
-  /// sweep and fault-tolerance envelope leans on, so debug builds of the
-  /// hedged worlds call this right after deployment.
-  void validate_deadlines(Tick delta) const {
-    for (ChainId c = 0; c < static_cast<ChainId>(chains_.count()); ++c) {
-      const chain::Blockchain& bc = chains_.at(c);
-      for (std::size_t i = 0; i < bc.contract_count(); ++i) {
-        const std::vector<Tick> ladder =
-            bc.contract_at(i).deadline_schedule();
-        Tick prev = 0;
-        for (std::size_t step = 0; step < ladder.size(); ++step) {
-          if (ladder[step] - prev < delta) {
-            // Append-only string building (GCC 12 -Wrestrict, PR 105651).
-            std::string what =
-                "Scheduler::validate_deadlines: contract ";
-            what += std::to_string(i);
-            what += " on chain '";
-            what += bc.name();
-            what += "' places deadline ";
-            what += std::to_string(ladder[step]);
-            what += " (step ";
-            what += std::to_string(step);
-            what += ") only ";
-            what += std::to_string(ladder[step] - prev);
-            what += " ticks after ";
-            what += step == 0 ? "the protocol start" : "its predecessor";
-            what += "; the inclusive-deadline timing contract requires >= ";
-            what += std::to_string(delta);
-            what += " (Delta) per scheduled step";
-            throw std::logic_error(what);
-          }
-          prev = ladder[step];
-        }
-      }
-    }
-  }
+  /// Checks the deployed contracts' deadline ladders; see
+  /// sim::validate_deadlines below.
+  void validate_deadlines(Tick delta) const;
 
   /// The next tick to execute.
   Tick now() const { return now_; }
@@ -116,5 +138,9 @@ class Scheduler {
   std::vector<Party*> parties_;
   Tick now_ = 0;
 };
+
+inline void Scheduler::validate_deadlines(Tick delta) const {
+  sim::validate_deadlines(chains_, delta);
+}
 
 }  // namespace xchain::sim

@@ -447,9 +447,6 @@ TEST(FaultSweep, ActiveEnvironmentRequiresBruteReusableWorlds) {
   tree.executor = sim::SweepExecutor::kTree;
   EXPECT_THROW(sim::ScenarioRunner(*adapter).sweep(tree),
                std::invalid_argument);
-  adapter->set_world_reuse(false);
-  EXPECT_THROW(sim::ScenarioRunner(*adapter).sweep(),
-               std::invalid_argument);
 }
 
 TEST(FaultSweep, CloneCarriesTheEnvironment) {

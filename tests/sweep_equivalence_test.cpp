@@ -1,13 +1,15 @@
-// The arena-style world-reuse path (TraceMode::kOff + MultiChain::reset()
-// per schedule) must be a pure accelerator: for every reference adapter,
-// every schedule's audited outcomes — and the whole sweep report — must be
-// identical to the legacy path that rebuilds a fresh, fully-traced world
-// per schedule. This is the contract that lets the sweep run 5-10x faster
-// without weakening the paper's universally-quantified guarantee.
+// The reusable-world path (one traceless world per adapter, rolled back
+// to its post-setup state per schedule) must be a pure accelerator: for
+// every registry protocol, every schedule's audited outcomes — and the
+// whole sweep report — must be identical to a reference built by
+// construction: a fresh, fully-traced world per schedule, run through the
+// same replay routine. This is the contract that lets the sweep run 5-10x
+// faster without weakening the paper's universally-quantified guarantee.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "sim/registry.hpp"
@@ -19,7 +21,7 @@ namespace {
 // The reference configurations, fetched through the protocol registry —
 // the same defaults the campaign layer and the CLI sweep (and that
 // tests/registry_campaign_test.cpp pins byte-identical to the historical
-// hard-coded structs).
+// hard-coded structs). All ten registry protocols.
 std::vector<std::unique_ptr<ProtocolAdapter>> reference_adapters() {
   const ProtocolRegistry& reg = ProtocolRegistry::global();
   std::vector<std::unique_ptr<ProtocolAdapter>> out;
@@ -33,7 +35,51 @@ std::vector<std::unique_ptr<ProtocolAdapter>> reference_adapters() {
   out.push_back(reg.make("broker"));
   out.push_back(reg.make("bootstrap"));
   out.push_back(reg.make("crr-ladder"));
+  out.push_back(reg.make("bridge-transfer"));
+  out.push_back(reg.make("bridge-account-create"));
   return out;
+}
+
+// The reference run: a brand-new world with full tracing (event logs and
+// per-transaction notes on), replayed once and dropped.
+template <class Protocol>
+bool fresh_traced_run(const ProtocolAdapter& adapter, const Schedule& s,
+                      std::vector<PartyOutcome>& out) {
+  const auto* typed = dynamic_cast<const WorldAdapter<Protocol>*>(&adapter);
+  if (typed == nullptr) return false;
+  const auto world =
+      make_world(typed->protocol(), chain::TraceMode::kFull);
+  out = typed->protocol().outcomes(replay(*world, s.plans, adapter.delta()),
+                                   s);
+  return true;
+}
+
+std::vector<PartyOutcome> fresh_run(const ProtocolAdapter& adapter,
+                                    const Schedule& s) {
+  std::vector<PartyOutcome> out;
+  const bool known = fresh_traced_run<TwoPartyProtocol>(adapter, s, out) ||
+                     fresh_traced_run<MultiPartyProtocol>(adapter, s, out) ||
+                     fresh_traced_run<AuctionProtocol>(adapter, s, out) ||
+                     fresh_traced_run<BrokerProtocol>(adapter, s, out) ||
+                     fresh_traced_run<BootstrapProtocol>(adapter, s, out) ||
+                     fresh_traced_run<BridgeProtocol>(adapter, s, out);
+  EXPECT_TRUE(known) << adapter.name() << " is not a WorldAdapter";
+  return out;
+}
+
+// What ScenarioRunner::sweep(opts) reports, built from fresh traced runs.
+SweepReport fresh_report(const ProtocolAdapter& adapter,
+                         const SweepOptions& opts) {
+  const ScenarioRunner runner(adapter);
+  SweepReport r;
+  r.protocol = adapter.name();
+  runner.schedule_count(opts, &r.truncations);
+  for (const Schedule& s : runner.enumerate(opts)) {
+    r.conforming_audited +=
+        audit_schedule(s.label, fresh_run(adapter, s), r.violations);
+    ++r.schedules_run;
+  }
+  return r;
 }
 
 void expect_same_outcomes(const std::vector<PartyOutcome>& fresh,
@@ -58,12 +104,10 @@ void expect_same_outcomes(const std::vector<PartyOutcome>& fresh,
 // reports, for every schedule of every reference adapter.
 TEST(SweepEquivalence, ReusedWorldMatchesFreshWorldPerSchedule) {
   for (const auto& adapter : reference_adapters()) {
-    const auto fresh_engine = adapter->clone();
-    fresh_engine->set_world_reuse(false);
-    const auto reused_engine = adapter->clone();  // default: reuse + kOff
+    const auto reused_engine = adapter->clone();
 
     for (const Schedule& s : ScenarioRunner(*adapter).enumerate()) {
-      const auto fresh = fresh_engine->run(s);
+      const auto fresh = fresh_run(*adapter, s);
       const auto reused = reused_engine->run(s);
       expect_same_outcomes(fresh, reused, s.label);
       // Re-running the SAME schedule on the reused world must also be
@@ -74,14 +118,12 @@ TEST(SweepEquivalence, ReusedWorldMatchesFreshWorldPerSchedule) {
   }
 }
 
-// Whole-report equivalence through ScenarioRunner, fresh-mode vs default.
+// Whole-report equivalence: ScenarioRunner on the reused world vs the
+// same sweep assembled from fresh traced runs.
 TEST(SweepEquivalence, SweepReportsIdenticalAcrossWorldModes) {
   for (const auto& adapter : reference_adapters()) {
     const SweepReport reused = ScenarioRunner(*adapter).sweep();
-
-    auto fresh_engine = adapter->clone();
-    fresh_engine->set_world_reuse(false);
-    const SweepReport fresh = ScenarioRunner(*fresh_engine).sweep();
+    const SweepReport fresh = fresh_report(*adapter, SweepOptions{});
 
     SCOPED_TRACE(adapter->name());
     EXPECT_EQ(reused.protocol, fresh.protocol);
@@ -95,9 +137,10 @@ TEST(SweepEquivalence, SweepReportsIdenticalAcrossWorldModes) {
 
 // Delay schedules must behave identically on a reused (reset-per-run)
 // world and on a fresh traced world: pending delayed submissions live on
-// the per-run Party objects, never on the world, so a reset can never leak
-// a queued action into the next schedule. Pinned per schedule over the
-// timely space, and as whole reports over a bounded late space.
+// the persistent actors' queues, which every replay restores to their
+// construction-time (empty) state, so a reset can never leak a queued
+// action into the next schedule. Pinned per schedule over the timely
+// space, and as whole reports over a bounded late space.
 TEST(SweepEquivalence, DelaySchedulesMatchAcrossWorldModesPerSchedule) {
   SweepOptions opts;
   opts.strategies.kind = StrategySpace::Kind::kTimelyDelays;
@@ -105,17 +148,15 @@ TEST(SweepEquivalence, DelaySchedulesMatchAcrossWorldModesPerSchedule) {
   // check below covers the larger spaces.
   opts.strategies.max_schedules = 400;
   for (const auto& adapter : reference_adapters()) {
-    const auto fresh_engine = adapter->clone();
-    fresh_engine->set_world_reuse(false);
-    const auto reused_engine = adapter->clone();  // default: reuse + kOff
+    const auto reused_engine = adapter->clone();
 
     for (const Schedule& s : ScenarioRunner(*adapter).enumerate(opts)) {
-      const auto fresh = fresh_engine->run(s);
+      const auto fresh = fresh_run(*adapter, s);
       const auto reused = reused_engine->run(s);
       expect_same_outcomes(fresh, reused, s.label);
       // Re-running the SAME delayed schedule on the reused world must be
-      // stable: reset() rolls chains back and the new Party objects carry
-      // fresh (empty) delay queues.
+      // stable: reset() rolls chains back and the actors' delay queues
+      // are restored empty.
       expect_same_outcomes(fresh, reused_engine->run(s),
                            s.label + " (rerun)");
     }
@@ -128,10 +169,7 @@ TEST(SweepEquivalence, LateDelayReportsIdenticalAcrossWorldModes) {
   opts.strategies.max_schedules = 1500;
   for (const auto& adapter : reference_adapters()) {
     const SweepReport reused = ScenarioRunner(*adapter).sweep(opts);
-
-    auto fresh_engine = adapter->clone();
-    fresh_engine->set_world_reuse(false);
-    const SweepReport fresh = ScenarioRunner(*fresh_engine).sweep(opts);
+    const SweepReport fresh = fresh_report(*adapter, opts);
 
     SCOPED_TRACE(adapter->name());
     EXPECT_EQ(reused.protocol, fresh.protocol);
@@ -144,9 +182,8 @@ TEST(SweepEquivalence, LateDelayReportsIdenticalAcrossWorldModes) {
   }
 }
 
-// The world-reuse knob survives cloning in the state the clone's maker
-// set, and parallel sweeps (which clone per worker) stay identical to
-// serial whatever the mode.
+// Parallel sweeps (which clone the adapter per worker, each clone
+// building its own world) stay identical to serial.
 TEST(SweepEquivalence, ParallelReusedSweepMatchesSerial) {
   for (const auto& adapter : reference_adapters()) {
     ScenarioRunner runner(*adapter);

@@ -131,9 +131,9 @@ TEST(TreeEquivalence, TreeForcesSerialExecutionUnderThreadRequest) {
 }
 
 // Repeated sweeps on one runner reuse the adapter's world (and, between
-// tree sweeps, inherit a non-empty snapshot stack); interleaved legacy
-// run() calls dirty that world through the checkpoint/reset path without
-// touching the snapshot stack. Every subsequent sweep must still report
+// tree sweeps, inherit a non-empty snapshot stack); interleaved brute
+// run() calls dirty that world through the checkpoint/reset path, which
+// retires the snapshot stack. Every subsequent sweep must still report
 // identically — the executor re-bases on a clean slot-0 state either way.
 TEST(TreeEquivalence, RepeatedAndInterleavedSweepsStayIdentical) {
   const auto adapter = ProtocolRegistry::global().make("bootstrap");
@@ -146,7 +146,7 @@ TEST(TreeEquivalence, RepeatedAndInterleavedSweepsStayIdentical) {
   EXPECT_EQ(second.nodes_executed, first.nodes_executed);
   EXPECT_EQ(second.dedup_hits, first.dedup_hits);
 
-  // Dirty the reused world via the legacy path, then tree-sweep again.
+  // Dirty the reused world via a brute replay, then tree-sweep again.
   Schedule everyone_halts;
   for (std::size_t p = 0; p < adapter->party_count(); ++p) {
     everyone_halts.plans.push_back(DeviationPlan::halt_after(0));
@@ -190,16 +190,6 @@ TEST(TreeEquivalence, TreeRefusesAdapterWithoutHooks) {
   expect_identical(brute, auto_report);
   EXPECT_EQ(auto_report.nodes_executed, auto_report.schedules_run);
   EXPECT_EQ(auto_report.dedup_hits, 0u);
-}
-
-TEST(TreeEquivalence, TreeRefusesWhenWorldReuseDisabled) {
-  const auto adapter = ProtocolRegistry::global().make("two-party");
-  adapter->set_world_reuse(false);
-  ASSERT_EQ(adapter->tree_frame(), nullptr);
-  ScenarioRunner runner(*adapter);
-  SweepOptions opts;
-  opts.executor = SweepExecutor::kTree;
-  EXPECT_THROW((void)runner.sweep(opts), std::invalid_argument);
 }
 
 // The unimplemented-hook defaults throw std::logic_error naming the

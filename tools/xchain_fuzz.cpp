@@ -22,10 +22,11 @@
 // self-test failed), 2 = usage / parameter / corpus-format error.
 //
 // Example:
-//   xchain-fuzz --seed=20260808 --budget-runs=2000 \
+//   xchain-fuzz --seed=20260808 --budget-runs=2000
 //               --corpus=tests/fuzz_corpus --json=build/FUZZ_report.json
 
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
 #include <climits>
 #include <cstdio>
@@ -108,11 +109,17 @@ bool parse_long(const std::string& s, long long lo, long long hi,
          out <= hi;
 }
 
+/// Digits only: strtoull alone would accept leading whitespace and a
+/// sign, silently negating "-1" into 18446744073709551615.
 bool parse_seed(const std::string& s, unsigned long long& out) {
+  if (s.empty() || !std::all_of(s.begin(), s.end(), [](unsigned char c) {
+        return std::isdigit(c) != 0;
+      })) {
+    return false;
+  }
   errno = 0;
-  char* end = nullptr;
-  out = std::strtoull(s.c_str(), &end, 10);
-  return end != s.c_str() && *end == '\0' && errno != ERANGE;
+  out = std::strtoull(s.c_str(), nullptr, 10);
+  return errno != ERANGE;
 }
 
 bool parse_seconds(const std::string& s, double& out) {
@@ -374,7 +381,7 @@ int main(int argc, char** argv) {
     // order and resumes from this run's coverage frontier.
     for (const fuzz::TargetFuzzResult& t : report.targets) {
       for (std::size_t i = 0; i < t.corpus.size(); ++i) {
-        char num[16];
+        char num[24];
         std::snprintf(num, sizeof num, "%04zu", i);
         const std::string name =
             "corpus_" + file_stem(t.protocol) + "_" + num + ".fuzz";
