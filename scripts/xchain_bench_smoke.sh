@@ -11,7 +11,8 @@
 #     violations);
 #   * the --threads=1 and --threads=4 artifacts are identical modulo the
 #     wall-time/stamp fields (the load loop's determinism contract);
-#   * malformed flags and unknown mix protocols exit 2.
+#   * malformed flags and unknown mix protocols exit 2, numbers included:
+#     a flag integer is digits only (no whitespace, no '+', no junk).
 set -euo pipefail
 
 bin="$1"
@@ -69,6 +70,12 @@ set +e
   >/dev/null 2>&1; [[ $? -eq 2 ]] || fail "unknown mix protocol should exit 2"
 "$bin" --users=5 --mix=two-party:0 >/dev/null 2>&1; [[ $? -eq 2 ]] || \
   fail "zero mix weight should exit 2"
+for bad in '--users= 20' '--users=+20' '--users=20x' '--seed= 3' \
+           '--seed=+3' '--gap=-1' '--cap= 4' '--max-fee=+64' \
+           '--mix=two-party:+2' '--scaling=1,+2'; do
+  "$bin" --users=5 "$bad" >/dev/null 2>&1; rc=$?
+  [[ $rc -eq 2 ]] || fail "'$bad' should exit 2 (got $rc)"
+done
 set -e
 
 rm -f "$work/t1.json" "$work/t4.json" "$work/bad.json"

@@ -12,7 +12,9 @@
 #   * --dry-run prints per-configuration schedule counts without running
 #     (halt-only two-party: 16; --strategies=late-delays enlarges it);
 #   * a bounded --strategies=late-delays sweep runs clean and stamps the
-#     JSON with the strategy space.
+#     JSON with the strategy space;
+#   * malformed flag integers (whitespace, '+', junk) exit 2, while the
+#     documented --max-deviators=-1 is accepted.
 set -euo pipefail
 
 bin="$1"
@@ -91,5 +93,18 @@ rm -f "$json.late"
   fail "unknown param should exit non-zero"
 "$bin" --protocol=two-party --strategies=bogus >/dev/null 2>&1 && \
   fail "unknown strategy space should exit non-zero"
+
+# Flag integers are digits only, plus a leading '-' where the range
+# admits one; anything else is a usage error (exit 2).
+"$bin" --protocol=two-party --max-deviators=-1 --dry-run >/dev/null || \
+  fail "--max-deviators=-1 should be accepted"
+set +e
+for bad in '--max-deviators=+1' '--max-deviators= 1' '--max-deviators=-' \
+           '--threads= 2' '--threads=+2' '--max-schedules=5x' \
+           '--max-configs=+3'; do
+  "$bin" --protocol=two-party --dry-run "$bad" >/dev/null 2>&1; rc=$?
+  [[ $rc -eq 2 ]] || fail "'$bad' should exit 2 (got $rc)"
+done
+set -e
 
 echo "xchain_sweep_smoke: OK"

@@ -1,6 +1,7 @@
 #include "chain/blockchain.hpp"
 
 #include <algorithm>
+#include <string>
 
 namespace xchain::chain {
 
@@ -97,6 +98,18 @@ void Blockchain::reset_fault_runtime() {
 void Blockchain::register_contract(std::unique_ptr<Contract> c) {
   c->id_ = contracts_.size();
   c->chain_ = id_;
+  std::vector<Tick> wakes = c->wake_ticks();
+  std::sort(wakes.begin(), wakes.end());
+  wakes.erase(std::unique(wakes.begin(), wakes.end()), wakes.end());
+  // The new id is the largest so far, so each entry lands after every
+  // entry of its tick: with deadlines offset by arrival (load binds), that
+  // is at or near the end of the index.
+  for (const Tick t : wakes) {
+    const std::pair<Tick, ContractId> entry{t, c->id_};
+    wake_index_.insert(
+        std::upper_bound(wake_index_.begin(), wake_index_.end(), entry),
+        entry);
+  }
   contracts_.push_back(std::move(c));
 }
 
@@ -105,16 +118,17 @@ void Blockchain::produce_block(Tick now) {
     produce_block_faulted(now);
     return;
   }
+  const Tick prev = height_;
   height_ = now;
   // Apply queued transactions in submission order (contracts can rely on
   // arrival order, paper §3.2 footnote). The batch/mempool pair ping-pongs
   // so both keep their capacity across blocks.
   batch_.clear();
   batch_.swap(mempool_);
-  apply_batch(now);
+  apply_batch(prev, now);
 }
 
-void Blockchain::apply_batch(Tick now) {
+void Blockchain::apply_batch(Tick prev, Tick now) {
   for (Transaction& tx : batch_) {
     TxContext ctx(*this, tx.sender, now);
     tx.effect(ctx);
@@ -122,10 +136,57 @@ void Blockchain::apply_batch(Tick now) {
     record_status(tx, TxStatus::kIncluded);
     if (on_included_) on_included_(id_, tx.sender, now);
   }
-  // Timeout sweep: contracts resolve expired timelocks.
+  // Timeout sweep: contracts resolve expired timelocks. Due are the
+  // contracts with a deadline in [prev, now) — every deadline this block
+  // is the first to pass, including those an outage skipped — visited in
+  // contract-id order (the order kFull event logs record), each once.
+  const auto lo = std::lower_bound(wake_index_.begin(), wake_index_.end(),
+                                   std::pair<Tick, ContractId>{prev, 0});
+  const auto hi = std::lower_bound(lo, wake_index_.end(),
+                                   std::pair<Tick, ContractId>{now, 0});
+  due_.clear();
+  for (auto it = lo; it != hi; ++it) due_.push_back(it->second);
+  if (due_.size() > 1) {
+    std::sort(due_.begin(), due_.end());
+    due_.erase(std::unique(due_.begin(), due_.end()), due_.end());
+  }
   TxContext sweep(*this, kNoParty, now);
-  for (auto& c : contracts_) {
-    c->on_block(sweep);
+  for (const ContractId id : due_) contracts_[id]->on_block(sweep);
+#ifndef NDEBUG
+  check_undue_contracts(sweep);
+#endif
+}
+
+void Blockchain::check_undue_contracts(TxContext& sweep) {
+  const auto fingerprint = [this](const Contract& c) {
+    std::uint64_t h = kStateHashSeed;
+    c.state_hash(h);
+    ledger_.for_each_holding(c.address(), [&h](SymbolId sym, Amount amt) {
+      state_hash_mix(h, sym.value());
+      state_hash_mix(h, static_cast<std::uint64_t>(amt));
+    });
+    return h;
+  };
+  std::size_t next_due = 0;  // due_ is sorted
+  for (ContractId id = 0; id < contracts_.size(); ++id) {
+    if (next_due < due_.size() && due_[next_due] == id) {
+      ++next_due;
+      continue;
+    }
+    Contract& c = *contracts_[id];
+    const std::uint64_t before = fingerprint(c);
+    c.on_block(sweep);
+    if (fingerprint(c) != before) {
+      // Append-only string building (GCC 12 -Wrestrict, PR 105651).
+      std::string what = "Blockchain wake oracle: contract ";
+      what += std::to_string(id);
+      what += " on chain '";
+      what += name_;
+      what += "' acted in the timeout sweep of block ";
+      what += std::to_string(sweep.now());
+      what += ", where none of its wake_ticks() was due";
+      throw std::logic_error(what);
+    }
   }
 }
 
@@ -139,6 +200,7 @@ void Blockchain::produce_block_faulted(Tick now) {
     for (Transaction& tx : mempool_) tx.fresh = false;
     return;
   }
+  const Tick prev = height_;
   height_ = now;
 
   // 1. Seeded submission drops hit fresh (submitted-since-last-block)
@@ -248,7 +310,7 @@ void Blockchain::produce_block_faulted(Tick now) {
 
   // 5. Apply the selected block, then the timeout sweep — the fast
   //    path's tail.
-  apply_batch(now);
+  apply_batch(prev, now);
 }
 
 void Blockchain::reset() {

@@ -116,11 +116,22 @@ class Contract {
   /// The contract's escrow account.
   Address address() const { return Address::contract(id_); }
 
-  /// Invoked once per produced block, after transactions are applied.
-  /// Contracts process expired timelocks here (refunds, premium awards) —
-  /// modelling the convention that the entitled party always triggers an
-  /// expired refund, which is their dominant strategy.
+  /// The timeout sweep, invoked after a block's transactions are applied
+  /// — but only in the blocks where one of wake_ticks() has just passed
+  /// (see there). Contracts process expired timelocks here (refunds,
+  /// premium awards) — modelling the convention that the entitled party
+  /// always triggers an expired refund, which is their dominant strategy.
   virtual void on_block(TxContext& ctx) { (void)ctx; }
+
+  /// The deadlines on_block() compares `now` against: the chain calls
+  /// on_block() in the first block whose height exceeds a listed tick d
+  /// (the block after d, or the first block after an outage that covered
+  /// it), and in no other block. Read once, when the contract is
+  /// deployed, so it must depend only on construction parameters. A
+  /// contract that lists nothing is never swept; debug builds check after
+  /// every block that sweeping the others would have changed nothing
+  /// (Blockchain::apply_batch). Defaults to deadline_schedule().
+  virtual std::vector<Tick> wake_ticks() const { return deadline_schedule(); }
 
   /// Restores the contract to its just-constructed state. Reusable worlds
   /// (MultiChain::reset) call this once per schedule so sweep workers can
@@ -267,8 +278,9 @@ class Blockchain {
     return ref;
   }
 
-  /// Applies all queued transactions, then runs every contract's timeout
-  /// sweep, as the block at height `now`.
+  /// Applies all queued transactions, then the timeout sweep of every
+  /// contract with a wake tick in [previous height, now), as the block at
+  /// height `now`.
   void produce_block(Tick now);
 
   /// Captures the ledger state as the baseline reset() returns to.
@@ -303,8 +315,18 @@ class Blockchain {
   void produce_block_faulted(Tick now);
 
   /// The tail both block-production paths share: applies batch_ in
-  /// order (statuses, inclusion callbacks), then the timeout sweep.
-  void apply_batch(Tick now);
+  /// order (statuses, inclusion callbacks), then the timeout sweep of the
+  /// contracts due in this block — those with a wake tick d where
+  /// prev <= d < now, `prev` being the height of the previous block —
+  /// in contract-id order, each once. Debug builds then run the wake
+  /// oracle over every other contract.
+  void apply_batch(Tick prev, Tick now);
+
+  /// Debug-build wake oracle: calls on_block() on each contract the
+  /// sweep skipped and throws std::logic_error if that changes the
+  /// contract's state_hash() or its escrow row — a wake tick missing from
+  /// the contract's wake_ticks().
+  void check_undue_contracts(TxContext& sweep);
 
   /// Records `status` for tx if it is tracked.
   void record_status(const Transaction& tx, TxStatus status);
@@ -324,6 +346,13 @@ class Blockchain {
   std::vector<Transaction> mempool_;
   std::vector<Transaction> batch_;  ///< produce_block scratch, capacity reused
   std::vector<std::unique_ptr<Contract>> contracts_;
+  /// (wake tick, contract id) for every declared deadline, sorted; filled
+  /// at deploy and read-only after it. A block's due contracts are the
+  /// entries in [{prev height, 0}, {now, 0}), so the visited range
+  /// follows from height_ alone and reset()/snapshots carry no sweep
+  /// state.
+  std::vector<std::pair<Tick, ContractId>> wake_index_;
+  std::vector<ContractId> due_;  ///< sweep scratch, capacity reused
   EventLog events_;
   std::size_t applied_tx_count_ = 0;
   /// snap_push() counters stack ({height, applied_tx_count} per depth);

@@ -255,6 +255,14 @@ void MultiPartyArcContract::on_block(chain::TxContext& ctx) {
   }
 }
 
+std::vector<Tick> MultiPartyArcContract::wake_ticks() const {
+  std::vector<Tick> ticks{p_.escrow_deadline};
+  for (std::size_t k = 0; k <= p_.g.size(); ++k) {
+    ticks.push_back(path_deadline(k));
+  }
+  return ticks;
+}
+
 void MultiPartyArcContract::reset() {
   ep_deposited_.reset();
   ep_refunded_ = false;

@@ -106,6 +106,8 @@ class MultiPartyArcContract
 
   /// Timeout sweep: premium refunds/awards and the final asset refund.
   void on_block(chain::TxContext& ctx) override;
+  /// The escrow deadline plus path_deadline(k) for every path length k.
+  std::vector<Tick> wake_ticks() const override;
 
   /// Restores the just-constructed state (world reuse). The signature
   /// verification memo survives: it caches pure computation.

@@ -65,6 +65,9 @@ class CoinAuctionContract : public chain::SnapshotState<CoinAuctionContract> {
                        const crypto::Hashkey& key);
 
   void on_block(chain::TxContext& ctx) override;
+  std::vector<Tick> wake_ticks() const override {
+    return {p_.terms.commit_time};
+  }
 
   /// Restores the just-constructed state (world reuse).
   void reset() override;
@@ -123,6 +126,9 @@ class TicketAuctionContract
                        const crypto::Hashkey& key);
 
   void on_block(chain::TxContext& ctx) override;
+  std::vector<Tick> wake_ticks() const override {
+    return {p_.terms.commit_time};
+  }
 
   /// Restores the just-constructed state (world reuse).
   void reset() override;

@@ -294,6 +294,14 @@ void BrokerChainContract::on_block(chain::TxContext& ctx) {
   }
 }
 
+std::vector<Tick> BrokerChainContract::wake_ticks() const {
+  std::vector<Tick> ticks{p_.escrow_deadline, p_.trading_deadline};
+  for (std::size_t k = 0; k <= p_.g.size(); ++k) {
+    ticks.push_back(path_deadline(k));
+  }
+  return ticks;
+}
+
 void BrokerChainContract::reset() {
   const auto clear_simple = [](SimplePremium& prem) {
     prem.deposited = false;

@@ -98,6 +98,9 @@ class BrokerChainContract : public chain::SnapshotState<BrokerChainContract> {
                        std::size_t leader_index, const crypto::Hashkey& key);
 
   void on_block(chain::TxContext& ctx) override;
+  /// The escrow and trading deadlines plus path_deadline(k) for every
+  /// path length k.
+  std::vector<Tick> wake_ticks() const override;
 
   /// Restores the just-constructed state (world reuse). The signature
   /// verification memo survives: it caches pure computation.

@@ -2,6 +2,7 @@
 
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "chain/blockchain.hpp"
 #include "common/types.hpp"
@@ -47,6 +48,7 @@ class HtlcContract : public chain::SnapshotState<HtlcContract> {
 
   /// Timeout sweep: refunds the principal at/after the timelock.
   void on_block(chain::TxContext& ctx) override;
+  std::vector<Tick> wake_ticks() const override { return {p_.timelock}; }
 
   /// Restores the just-constructed state (world reuse).
   void reset() override;

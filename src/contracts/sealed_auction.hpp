@@ -55,6 +55,9 @@ class SealedCoinAuctionContract
                        const crypto::Hashkey& key);
 
   void on_block(chain::TxContext& ctx) override;
+  std::vector<Tick> wake_ticks() const override {
+    return {p_.terms.commit_time};
+  }
 
   /// Restores the just-constructed state (world reuse).
   void reset() override;

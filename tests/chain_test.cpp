@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "chain/blockchain.hpp"
 
 namespace xchain::chain {
@@ -71,8 +73,7 @@ TEST(Address, Identity) {
   EXPECT_EQ(Address::contract(7).str(), "contract:7");
 }
 
-// A trivial contract for framework tests: counts blocks and accepts
-// deposits.
+// A trivial contract for framework tests: accepts deposits.
 class CounterContract : public Contract {
  public:
   void deposit(TxContext& ctx, Amount amt) {
@@ -82,9 +83,6 @@ class CounterContract : public Contract {
       order.push_back(ctx.sender());
     }
   }
-  void on_block(TxContext&) override { ++blocks; }
-
-  int blocks = 0;
   std::vector<PartyId> order;
 };
 
@@ -115,13 +113,41 @@ TEST(Blockchain, TxOrderPreserved) {
   EXPECT_EQ(c.order, (std::vector<PartyId>{1, 0}));
 }
 
-TEST(Blockchain, OnBlockRunsEveryBlock) {
+// Records the block in which each declared deadline first passed, the
+// way a timelock contract resolves; counts every on_block call.
+class WakeContract : public Contract {
+ public:
+  explicit WakeContract(std::vector<Tick> ds)
+      : deadlines(std::move(ds)), fired(deadlines.size(), -1) {}
+  std::vector<Tick> wake_ticks() const override { return deadlines; }
+  void on_block(TxContext& ctx) override {
+    ++calls;
+    for (std::size_t i = 0; i < deadlines.size(); ++i) {
+      if (fired[i] < 0 && ctx.now() > deadlines[i]) fired[i] = ctx.now();
+    }
+  }
+
+  const std::vector<Tick> deadlines;
+  std::vector<Tick> fired;
+  int calls = 0;
+};
+
+TEST(Blockchain, OnBlockRunsOnlyAtWakeTicks) {
   MultiChain chains;
   Blockchain& bc = chains.add_chain("test");
-  auto& c = bc.deploy<CounterContract>();
-  for (Tick t = 0; t < 5; ++t) chains.produce_all(t);
-  EXPECT_EQ(c.blocks, 5);
-  EXPECT_EQ(bc.height(), 4);
+  auto& c = bc.deploy<WakeContract>(std::vector<Tick>{1, 3});
+  [[maybe_unused]] auto& silent = bc.deploy<WakeContract>(std::vector<Tick>{});
+  for (Tick t = 0; t < 6; ++t) chains.produce_all(t);
+  // Each deadline fires in the first block past it.
+  EXPECT_EQ(c.fired, (std::vector<Tick>{2, 4}));
+  EXPECT_EQ(bc.height(), 5);
+#ifdef NDEBUG
+  // Only the two due blocks visit the contract, and a contract declaring
+  // no deadline is never swept. (Debug builds also run the wake oracle,
+  // which calls on_block on every contract the sweep skipped.)
+  EXPECT_EQ(c.calls, 2);
+  EXPECT_EQ(silent.calls, 0);
+#endif
 }
 
 TEST(Blockchain, EventsRecorded) {

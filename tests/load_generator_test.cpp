@@ -9,11 +9,14 @@
 //     (modulo wall time) and for repeated runs of one seed;
 //   * the audit contract — an uncongested load is violation-free, and a
 //     congested one attributes every violation to the chain faults
-//     (unattributed == 0, the xchain-bench gate).
+//     (unattributed == 0, the xchain-bench gate);
+//   * the report itself — a 2,000-user congested run's deterministic
+//     fields, pinned value by value.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "chain/blockchain.hpp"
@@ -221,6 +224,90 @@ TEST(LoadGenerator, SameSeedSameReport) {
   EXPECT_EQ(a.ticks, b.ticks);
   EXPECT_EQ(a.latency.p99, b.latency.p99);
   EXPECT_EQ(a.violations.size(), b.violations.size());
+}
+
+TEST(LoadGenerator, PinnedCongestedReport) {
+  // The deterministic fields of a 2,000-user congested run, pinned so any
+  // change to block production or the timeout sweep that shifts a single
+  // inclusion, refund or breach shows here.
+  load::LoadConfig cfg;
+  cfg.users = 2000;
+  cfg.seed = 1;
+  cfg.arrival_gap = 1;
+  cfg.block_capacity = 4;
+  cfg.max_fee = 64;
+  cfg.mix = {{"two-party", 2}, {"broker", 1}, {"bridge-transfer", 1}};
+  const load::LoadReport r = load::run_load(cfg);
+
+  EXPECT_EQ(r.instances, 2000u);
+  EXPECT_EQ(r.txs_included, 18257u);
+  EXPECT_EQ(r.chains, 6u);
+  EXPECT_EQ(r.ticks, 1011);
+  EXPECT_EQ(r.latency.p50, 7);
+  EXPECT_EQ(r.latency.p95, 14);
+  EXPECT_EQ(r.latency.p99, 24);
+  EXPECT_EQ(r.latency.max, 75);
+  EXPECT_DOUBLE_EQ(r.latency.mean, 8.6305);
+
+  struct Expected {
+    const char* protocol;
+    std::size_t instances, txs_included;
+    Tick p50, p95, p99, max;
+    std::size_t violations;
+  };
+  const std::vector<Expected> expected = {
+      {"two-party", 1006, 6013, 7, 10, 12, 13, 0},
+      {"broker", 479, 7306, 12, 22, 30, 75, 32},
+      {"bridge-transfer", 515, 4938, 7, 10, 11, 13, 12},
+  };
+  ASSERT_EQ(r.per_protocol.size(), expected.size());
+  for (std::size_t m = 0; m < expected.size(); ++m) {
+    const load::ProtocolStats& p = r.per_protocol[m];
+    const Expected& e = expected[m];
+    EXPECT_EQ(p.protocol, e.protocol);
+    EXPECT_EQ(p.instances, e.instances) << e.protocol;
+    EXPECT_EQ(p.txs_included, e.txs_included) << e.protocol;
+    EXPECT_EQ(p.latency.p50, e.p50) << e.protocol;
+    EXPECT_EQ(p.latency.p95, e.p95) << e.protocol;
+    EXPECT_EQ(p.latency.p99, e.p99) << e.protocol;
+    EXPECT_EQ(p.latency.max, e.max) << e.protocol;
+    EXPECT_EQ(p.violations, e.violations) << e.protocol;
+    EXPECT_EQ(p.fault_caused, e.violations) << e.protocol;
+  }
+
+  // Every breach, in completion order, as "instance/party:coin delta".
+  const std::vector<std::string> expected_violations = {
+      "bridge-transfer#134/user:-2", "bridge-transfer#224/user:-2",
+      "bridge-transfer#267/user:-2", "broker#332/bob:-8",
+      "broker#332/carol:-8",         "broker#351/bob:-8",
+      "broker#351/carol:-8",         "broker#585/bob:-8",
+      "broker#585/carol:-8",         "bridge-transfer#586/user:-2",
+      "bridge-transfer#593/user:-2", "broker#626/bob:-8",
+      "broker#626/carol:-8",         "broker#647/alice:-4",
+      "broker#715/bob:-8",           "broker#715/carol:-8",
+      "broker#719/bob:-7",           "broker#719/carol:-9",
+      "bridge-transfer#727/user:-2", "broker#838/alice:-4",
+      "bridge-transfer#951/user:-2", "bridge-transfer#1004/user:-2",
+      "broker#1032/carol:-6",        "bridge-transfer#1054/user:-2",
+      "broker#1094/alice:-4",        "broker#1126/alice:-4",
+      "broker#1128/bob:-9",          "broker#1128/carol:-9",
+      "bridge-transfer#1191/user:-2", "broker#1421/bob:-8",
+      "broker#1421/carol:-8",        "broker#1455/alice:-4",
+      "broker#1472/alice:-4",        "broker#1561/carol:-6",
+      "broker#1567/bob:-3",          "broker#1591/alice:-4",
+      "bridge-transfer#1646/user:-2", "bridge-transfer#1723/user:-2",
+      "broker#1786/bob:-8",          "broker#1786/carol:-4",
+      "broker#1842/bob:-8",          "broker#1842/carol:-8",
+      "broker#1943/bob:-9",          "broker#1943/carol:-9",
+  };
+  std::vector<std::string> labels;
+  for (const sim::Violation& v : r.violations) {
+    labels.push_back(v.schedule + "/" + v.party + ":" +
+                     std::to_string(v.coin_delta));
+  }
+  EXPECT_EQ(labels, expected_violations);
+  EXPECT_EQ(r.fault_caused, expected_violations.size());
+  EXPECT_EQ(r.unattributed, 0u);
 }
 
 TEST(LoadGenerator, RejectsBadConfigs) {

@@ -194,6 +194,8 @@ TEST(SchedulerPropagation, DeltaTimeoutsFireExactlyAtExpiry) {
   class DeadlineContract : public chain::Contract {
    public:
     explicit DeadlineContract(Tick deadline) : deadline_(deadline) {}
+    // on_block acts once now > deadline_ - 1.
+    std::vector<Tick> wake_ticks() const override { return {deadline_ - 1}; }
     void on_block(TxContext& ctx) override {
       if (fired_at < 0 && ctx.now() >= deadline_) {
         fired_at = ctx.now();

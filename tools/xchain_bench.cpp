@@ -22,7 +22,6 @@
 // congestion), 1 = unattributed violations or scaling mismatch, 2 =
 // usage / parameter error.
 
-#include <cerrno>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
@@ -32,6 +31,7 @@
 #include <thread>
 #include <vector>
 
+#include "flag_int.hpp"
 #include "load/load_gen.hpp"
 
 #ifndef XCHAIN_GIT_COMMIT
@@ -47,6 +47,7 @@
 namespace {
 
 using namespace xchain;
+using tools::parse_long;
 
 void print_usage(std::FILE* to) {
   std::fprintf(
@@ -71,15 +72,6 @@ void print_usage(std::FILE* to) {
       "time. --scaling=1,2,4,8 appends a thread-scaling curve to the JSON\n"
       "artifact (--json, default BENCH_load.json). Exit: 0 clean, 1\n"
       "unattributed violations, 2 bad usage.\n");
-}
-
-bool parse_long(const std::string& s, long long lo, long long hi,
-                long long& out) {
-  errno = 0;
-  char* end = nullptr;
-  out = std::strtoll(s.c_str(), &end, 10);
-  return end != s.c_str() && *end == '\0' && errno != ERANGE && out >= lo &&
-         out <= hi;
 }
 
 /// "proto:w,proto:w" -> mix entries (weight defaults to 1).

@@ -26,7 +26,6 @@
 //               --corpus=tests/fuzz_corpus --json=build/FUZZ_report.json
 
 #include <algorithm>
-#include <cctype>
 #include <cerrno>
 #include <climits>
 #include <cstdio>
@@ -40,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "flag_int.hpp"
 #include "fuzz/harness.hpp"
 #include "fuzz/selftest.hpp"
 #include "sim/registry.hpp"
@@ -57,6 +57,8 @@
 namespace {
 
 using namespace xchain;
+using tools::parse_long;
+using tools::parse_seed;
 
 void print_usage(std::FILE* to) {
   std::fprintf(
@@ -98,28 +100,6 @@ void print_usage(std::FILE* to) {
       "\n"
       "Exit: 0 clean / self-test passed, 1 violations / self-test failed,\n"
       "2 bad usage.\n");
-}
-
-bool parse_long(const std::string& s, long long lo, long long hi,
-                long long& out) {
-  errno = 0;
-  char* end = nullptr;
-  out = std::strtoll(s.c_str(), &end, 10);
-  return end != s.c_str() && *end == '\0' && errno != ERANGE && out >= lo &&
-         out <= hi;
-}
-
-/// Digits only: strtoull alone would accept leading whitespace and a
-/// sign, silently negating "-1" into 18446744073709551615.
-bool parse_seed(const std::string& s, unsigned long long& out) {
-  if (s.empty() || !std::all_of(s.begin(), s.end(), [](unsigned char c) {
-        return std::isdigit(c) != 0;
-      })) {
-    return false;
-  }
-  errno = 0;
-  out = std::strtoull(s.c_str(), nullptr, 10);
-  return errno != ERANGE;
 }
 
 bool parse_seconds(const std::string& s, double& out) {

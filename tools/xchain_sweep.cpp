@@ -22,7 +22,6 @@
 //   xchain-sweep --protocol=multi-party-ring --grid n=3,4,5
 //                --grid premium_unit=1,2 --threads=0 --json=out.json
 
-#include <cerrno>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
@@ -31,6 +30,7 @@
 #include <string>
 
 #include "chain/fault.hpp"
+#include "flag_int.hpp"
 #include "sim/campaign.hpp"
 #include "sim/param.hpp"
 #include "sim/registry.hpp"
@@ -50,6 +50,7 @@
 namespace {
 
 using namespace xchain;
+using tools::parse_long;
 
 void print_usage(std::FILE* to) {
   std::fprintf(
@@ -144,17 +145,6 @@ bool split_kv(const std::string& arg, std::string& key, std::string& value) {
   key = arg.substr(0, eq);
   value = arg.substr(eq + 1);
   return true;
-}
-
-/// Parses a flag integer into [lo, hi]; overflow and trailing junk fail
-/// like any other bad value (no silent truncation to a different meaning).
-bool parse_long(const std::string& s, long long lo, long long hi,
-                long long& out) {
-  errno = 0;
-  char* end = nullptr;
-  out = std::strtoll(s.c_str(), &end, 10);
-  return end != s.c_str() && *end == '\0' && errno != ERANGE && out >= lo &&
-         out <= hi;
 }
 
 }  // namespace
