@@ -10,7 +10,11 @@
 #     instance completed, latency percentiles present, 0 unattributed
 #     violations);
 #   * the --threads=1 and --threads=4 artifacts are identical modulo the
-#     wall-time/stamp fields (the load loop's determinism contract);
+#     wall-time/stamp fields (the load loop's determinism contract), and
+#     the --threads=4 run's --scaling=1,2 points pass the CLI's own
+#     whole-report determinism check;
+#   * every run, scaling points included, reports phase_seconds (the tick
+#     loop's wall time by phase), kept out of the determinism comparison;
 #   * malformed flags and unknown mix protocols exit 2, numbers included:
 #     a flag integer is digits only (no whitespace, no '+', no junk).
 set -euo pipefail
@@ -28,16 +32,18 @@ mkdir -p "$work"
 rm -f "$work/t1.json" "$work/t4.json"
 "$bin" --users=200 --threads=1 --seed=7 --json="$work/t1.json" --quiet \
   || fail "--threads=1 run exited $? (want 0)"
-"$bin" --users=200 --threads=4 --seed=7 --json="$work/t4.json" --quiet \
-  || fail "--threads=4 run exited $? (want 0)"
+"$bin" --users=200 --threads=4 --seed=7 --scaling=1,2 \
+  --json="$work/t4.json" --quiet \
+  || fail "--threads=4 --scaling=1,2 run exited $? (want 0)"
 [[ -s "$work/t1.json" && -s "$work/t4.json" ]] || fail "missing JSON artifacts"
 
 if command -v python3 >/dev/null 2>&1; then
   python3 - "$work/t1.json" "$work/t4.json" <<'EOF'
 import json, sys
 WALL = {"threads", "wall_seconds", "instances_per_second", "txs_per_second",
-        "latency_wall_seconds", "scaling", "git_commit", "build_type",
-        "compiler", "hardware_threads"}
+        "phase_seconds", "latency_wall_seconds", "scaling", "git_commit",
+        "build_type", "compiler", "hardware_threads"}
+PHASES = {"bind", "actor", "drain", "produce", "audit", "attribution"}
 docs = []
 for path in sys.argv[1:3]:
     with open(path) as f:
@@ -49,7 +55,13 @@ for path in sys.argv[1:3]:
         set(doc["latency_ticks"]), doc["latency_ticks"]
     assert sum(p["instances"] for p in doc["protocols"]) == 200, \
         doc["protocols"]
+    for phases in [doc["phase_seconds"]] + \
+            [p["phase_seconds"] for p in doc.get("scaling", [])]:
+        assert set(phases) == PHASES, phases
+        assert all(v >= 0 for v in phases.values()), phases
     docs.append({k: v for k, v in doc.items() if k not in WALL})
+    scaling = [p["threads"] for p in doc.get("scaling", [])]
+assert scaling == [1, 2], scaling  # the --threads=4 run's curve
 assert docs[0] == docs[1], "threads=1 vs threads=4 reports differ"
 EOF
 else

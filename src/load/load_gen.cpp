@@ -2,16 +2,17 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "chain/blockchain.hpp"
 #include "chain/fault.hpp"
 #include "core/binding.hpp"
 #include "crypto/rng.hpp"
+#include "load/worker_pool.hpp"
 #include "sim/party.hpp"
 #include "sim/registry.hpp"
 #include "sim/scenario.hpp"
@@ -32,7 +33,9 @@ struct Instance {
   Tick start = 0;         ///< arrival tick
   Tick end = 0;           ///< exclusive end tick (LoadInstance::end_tick)
   std::unique_ptr<sim::LoadInstance> bound;
-  sim::TxSink sink;            ///< this tick's deferred submissions
+  /// This tick's deferred submissions: filled only by the pool shard that
+  /// ticks the instance, drained serially once every shard has finished.
+  sim::TxSink sink;
   Tick last_inclusion = -1;    ///< newest block holding one of its txs
   std::size_t txs = 0;         ///< its included transactions
 };
@@ -55,6 +58,17 @@ LatencyStats latency_stats(std::vector<Tick> lats) {
   for (Tick t : lats) sum += static_cast<double>(t);
   s.mean = sum / static_cast<double>(lats.size());
   return s;
+}
+
+/// The first LatencyStats field that differs, as "<prefix>.<field>", or "".
+std::string latency_mismatch(const std::string& prefix, const LatencyStats& a,
+                             const LatencyStats& b) {
+  if (a.p50 != b.p50) return prefix + ".p50";
+  if (a.p95 != b.p95) return prefix + ".p95";
+  if (a.p99 != b.p99) return prefix + ".p99";
+  if (a.max != b.max) return prefix + ".max";
+  if (a.mean != b.mean) return prefix + ".mean";
+  return "";
 }
 
 /// The all-conforming schedule every load instance runs (and every
@@ -154,13 +168,42 @@ LoadReport run_load(const LoadConfig& cfg) {
     ++inst.txs;
   });
 
-  LoadReport report;
-  const auto t0 = std::chrono::steady_clock::now();
-
   PartyId next_base = 0;
   std::size_t next_arrival = 0;
   std::vector<Instance*> active;  // arrival order — the drain order
   Tick now = 0;
+
+  // The actor phase's work: contiguous instance shards in arrival order,
+  // one per pool shard. Actors only read chain state and fill their
+  // instance's private sink, so shards share nothing mutable. The pool
+  // starts its threads here, once: a tick's actor work (tens of
+  // microseconds) costs less than starting a thread. Declared after
+  // everything its shards touch, so it joins before they are destroyed.
+  const auto tick_range = [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      for (sim::Party* actor : active[i]->bound->actors()) {
+        actor->tick(chains, now);
+      }
+    }
+  };
+  std::size_t chunk = 0;  // instances per shard this tick
+  const std::function<void(unsigned)> tick_shard = [&](unsigned s) {
+    const std::size_t lo = std::min(active.size(), s * chunk);
+    tick_range(lo, std::min(active.size(), lo + chunk));
+  };
+  WorkerPool pool(threads);
+
+  using Clock = std::chrono::steady_clock;
+  LoadReport report;
+  PhaseSeconds& phase = report.phase_seconds;
+  const auto t0 = Clock::now();
+  auto mark = t0;  // the last phase boundary
+  const auto lap = [&mark](double& into) {
+    const auto t = Clock::now();
+    into += std::chrono::duration<double>(t - mark).count();
+    mark = t;
+  };
+
   while (next_arrival < instances.size() || !active.empty()) {
     // 1. Serial arrivals: bind every instance due this tick.
     while (next_arrival < instances.size() &&
@@ -186,38 +229,25 @@ LoadReport run_load(const LoadConfig& cfg) {
       active.push_back(&inst);
       ++next_arrival;
     }
+    lap(phase.bind);
 
-    // 2. Parallel tick phase: contiguous instance shards, one per worker.
-    // Actors only read chain state and fill their instance's private
-    // sink, so shards share nothing mutable.
-    const auto tick_range = [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        for (sim::Party* actor : active[i]->bound->actors()) {
-          actor->tick(chains, now);
-        }
-      }
-    };
+    // 2. Parallel tick phase; too few instances to split run serially.
     if (threads == 1 || active.size() < 2 * threads) {
       tick_range(0, active.size());
     } else {
-      const std::size_t chunk = (active.size() + threads - 1) / threads;
-      std::vector<std::thread> pool;
-      pool.reserve(threads - 1);
-      for (unsigned t = 1; t < threads; ++t) {
-        const std::size_t lo = std::min(active.size(), t * chunk);
-        const std::size_t hi = std::min(active.size(), lo + chunk);
-        if (lo < hi) pool.emplace_back(tick_range, lo, hi);
-      }
-      tick_range(0, std::min(active.size(), chunk));
-      for (std::thread& th : pool) th.join();
+      chunk = (active.size() + threads - 1) / threads;
+      pool.run(tick_shard);
     }
+    lap(phase.actor);
 
     // 3. Serial drain in arrival order: mempool sequence numbers are
     // independent of thread count.
     for (Instance* inst : active) inst->sink.drain();
+    lap(phase.drain);
 
     // 4. One fee-ordered bounded block per chain over the whole tick.
     chains.produce_all(now);
+    lap(phase.produce);
 
     // Completions: the block at end - 1 has been produced.
     std::size_t kept = 0;
@@ -231,12 +261,11 @@ LoadReport run_load(const LoadConfig& cfg) {
           inst->bound->collect(), report.violations);
     }
     active.resize(kept);
+    lap(phase.audit);
     ++now;
   }
 
-  report.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  report.wall_seconds = std::chrono::duration<double>(mark - t0).count();
   report.ticks = now;
   report.instances = instances.size();
   report.txs_included = txs_included;
@@ -267,6 +296,7 @@ LoadReport run_load(const LoadConfig& cfg) {
   // Fault attribution: a violating protocol re-runs solo, all-conforming,
   // on a faultless private world. All load instances of one protocol are
   // identical modulo binding, so one twin per protocol decides them all.
+  mark = Clock::now();
   std::vector<int> twin_clean(mix.size(), -1);  // -1 unknown, 0/1 decided
   for (sim::Violation& v : report.violations) {
     const std::size_t m = [&] {
@@ -299,8 +329,43 @@ LoadReport run_load(const LoadConfig& cfg) {
     }
     ++report.per_protocol[m].violations;
   }
+  lap(phase.attribution);
 
   return report;
+}
+
+std::string deterministic_mismatch(const LoadReport& a, const LoadReport& b) {
+  if (a.instances != b.instances) return "instances";
+  if (a.txs_included != b.txs_included) return "txs_included";
+  if (a.chains != b.chains) return "chains";
+  if (a.ticks != b.ticks) return "ticks";
+  std::string field = latency_mismatch("latency", a.latency, b.latency);
+  if (!field.empty()) return field;
+  if (a.per_protocol.size() != b.per_protocol.size()) {
+    return "per_protocol.size";
+  }
+  for (std::size_t m = 0; m < a.per_protocol.size(); ++m) {
+    const ProtocolStats& pa = a.per_protocol[m];
+    const ProtocolStats& pb = b.per_protocol[m];
+    const std::string at = "per_protocol[" + std::to_string(m) + "]";
+    if (pa.protocol != pb.protocol) return at + ".protocol";
+    if (pa.instances != pb.instances) return at + ".instances";
+    if (pa.txs_included != pb.txs_included) return at + ".txs_included";
+    if (pa.violations != pb.violations) return at + ".violations";
+    if (pa.fault_caused != pb.fault_caused) return at + ".fault_caused";
+    field = latency_mismatch(at + ".latency", pa.latency, pb.latency);
+    if (!field.empty()) return field;
+  }
+  if (a.fault_caused != b.fault_caused) return "fault_caused";
+  if (a.unattributed != b.unattributed) return "unattributed";
+  if (a.violations.size() != b.violations.size()) return "violations.size";
+  for (std::size_t v = 0; v < a.violations.size(); ++v) {
+    // str(): schedule label, party, coin delta, floor, detail, attribution.
+    if (a.violations[v].str() != b.violations[v].str()) {
+      return "violations[" + std::to_string(v) + "]";
+    }
+  }
+  return "";
 }
 
 }  // namespace xchain::load

@@ -15,9 +15,12 @@
 // The tick loop is deterministic at any thread count:
 //   1. serial arrivals  — instances whose start tick is due are bound
 //      (mint endowments, deploy contracts, build persistent actors);
-//   2. parallel ticks   — active instances are sharded over the worker
-//      threads; each actor's tick() only reads chain state and records
-//      its submissions into the instance's private TxSink;
+//   2. parallel ticks   — active instances are split into contiguous
+//      shards in arrival order, one per thread of a WorkerPool
+//      (load/worker_pool.hpp) started once per run; each actor's tick()
+//      only reads chain state and records its submissions into the
+//      instance's private TxSink. A tick with fewer than 2 * threads
+//      active instances runs serially on the calling thread;
 //   3. serial drain     — sinks drain into the mempools in arrival order,
 //      so submission sequence numbers never depend on thread timing;
 //   4. block production — produce_all(now) runs the fee-ordered bounded
@@ -97,14 +100,28 @@ struct ProtocolStats {
   std::size_t fault_caused = 0;
 };
 
+/// Measured wall seconds per phase of the tick loop, summed over all
+/// ticks, plus the fault attribution after it. bind..audit add up to
+/// LoadReport::wall_seconds.
+struct PhaseSeconds {
+  double bind = 0.0;         ///< 1. arrivals: bind_instance
+  double actor = 0.0;        ///< 2. actor ticks (the pooled phase)
+  double drain = 0.0;        ///< 3. sink drains into the mempools
+  double produce = 0.0;      ///< 4. produce_all
+  double audit = 0.0;        ///< completions: collect + audit_schedule
+  double attribution = 0.0;  ///< faultless-twin attribution after the loop
+};
+
 /// Result of one load run. Identical for any `threads` value except the
-/// wall_seconds field (pinned by tests/load_generator_test.cpp).
+/// measured wall_seconds and phase_seconds fields (deterministic_mismatch;
+/// pinned by tests/load_generator_test.cpp).
 struct LoadReport {
   std::size_t instances = 0;     ///< completed (== LoadConfig::users)
   std::size_t txs_included = 0;  ///< transactions applied across all chains
   std::size_t chains = 0;        ///< distinct shared chains created
   Tick ticks = 0;                ///< simulated ticks until the last completion
   double wall_seconds = 0.0;     ///< measured wall time of the tick loop
+  PhaseSeconds phase_seconds;    ///< measured; wall_seconds by phase
 
   LatencyStats latency;                      ///< across all instances
   std::vector<ProtocolStats> per_protocol;   ///< in mix order
@@ -123,5 +140,11 @@ struct LoadReport {
 /// std::invalid_argument on malformed configs (zero users, non-positive
 /// weights) and sim::RegistryError on unknown protocol names.
 LoadReport run_load(const LoadConfig& cfg);
+
+/// Compares every deterministic field of two reports: all but
+/// wall_seconds and phase_seconds, violations in order. Returns "" when
+/// they agree, else the first differing field, e.g.
+/// "per_protocol[1].latency.p99".
+std::string deterministic_mismatch(const LoadReport& a, const LoadReport& b);
 
 }  // namespace xchain::load

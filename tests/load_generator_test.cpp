@@ -6,12 +6,14 @@
 //     disjoint account bases produce exactly the payoffs of a private
 //     solo world: ledger rows never bleed across instances;
 //   * determinism — the LoadReport is identical at any thread count
-//     (modulo wall time) and for repeated runs of one seed;
+//     (modulo the measured wall_seconds and phase_seconds, as
+//     load::deterministic_mismatch compares it) and for repeated runs of
+//     one seed;
 //   * the audit contract — an uncongested load is violation-free, and a
 //     congested one attributes every violation to the chain faults
 //     (unattributed == 0, the xchain-bench gate);
 //   * the report itself — a 2,000-user congested run's deterministic
-//     fields, pinned value by value.
+//     fields, pinned value by value at 1, 2 and 4 threads.
 
 #include <gtest/gtest.h>
 
@@ -172,30 +174,78 @@ TEST(LoadGenerator, ReportIsThreadCountInvariant) {
   const load::LoadReport serial = load::run_load(cfg);
   cfg.threads = 4;
   const load::LoadReport parallel = load::run_load(cfg);
+  EXPECT_EQ(load::deterministic_mismatch(serial, parallel), "");
+}
 
-  EXPECT_EQ(serial.instances, parallel.instances);
-  EXPECT_EQ(serial.txs_included, parallel.txs_included);
-  EXPECT_EQ(serial.chains, parallel.chains);
-  EXPECT_EQ(serial.ticks, parallel.ticks);
-  EXPECT_EQ(serial.latency.p50, parallel.latency.p50);
-  EXPECT_EQ(serial.latency.p95, parallel.latency.p95);
-  EXPECT_EQ(serial.latency.p99, parallel.latency.p99);
-  EXPECT_EQ(serial.latency.max, parallel.latency.max);
-  EXPECT_EQ(serial.latency.mean, parallel.latency.mean);
-  ASSERT_EQ(serial.violations.size(), parallel.violations.size());
-  for (std::size_t v = 0; v < serial.violations.size(); ++v) {
-    EXPECT_EQ(serial.violations[v].schedule, parallel.violations[v].schedule);
-    EXPECT_EQ(serial.violations[v].party, parallel.violations[v].party);
-    EXPECT_EQ(serial.violations[v].coin_delta,
-              parallel.violations[v].coin_delta);
+TEST(LoadGenerator, MismatchNamesTheFirstDifferingField) {
+  load::LoadConfig cfg;
+  cfg.users = 200;
+  cfg.seed = 3;
+  cfg.block_capacity = 3;
+  cfg.mix = {{"two-party", 2}, {"broker", 1}, {"bridge-transfer", 1}};
+  const load::LoadReport base = load::run_load(cfg);
+  ASSERT_FALSE(base.violations.empty());
+  EXPECT_EQ(load::deterministic_mismatch(base, base), "");
+
+  // Measured fields never count.
+  load::LoadReport r = base;
+  r.wall_seconds += 1;
+  r.phase_seconds.actor += 1;
+  EXPECT_EQ(load::deterministic_mismatch(base, r), "");
+
+  const auto mutated = [&](auto&& edit) {
+    load::LoadReport m = base;
+    edit(m);
+    return load::deterministic_mismatch(base, m);
+  };
+  EXPECT_EQ(mutated([](load::LoadReport& m) { ++m.ticks; }), "ticks");
+  EXPECT_EQ(mutated([](load::LoadReport& m) { ++m.chains; }), "chains");
+  EXPECT_EQ(mutated([](load::LoadReport& m) { m.latency.mean += 1e-9; }),
+            "latency.mean");
+  EXPECT_EQ(mutated([](load::LoadReport& m) {
+              ++m.per_protocol[1].latency.p95;
+            }),
+            "per_protocol[1].latency.p95");
+  EXPECT_EQ(mutated([](load::LoadReport& m) {
+              ++m.per_protocol[2].fault_caused;
+            }),
+            "per_protocol[2].fault_caused");
+  EXPECT_EQ(mutated([](load::LoadReport& m) { ++m.unattributed; }),
+            "unattributed");
+  const std::string last =
+      "violations[" + std::to_string(base.violations.size() - 1) + "]";
+  EXPECT_EQ(mutated([](load::LoadReport& m) {
+              --m.violations.back().coin_delta;
+            }),
+            last);
+  EXPECT_EQ(mutated([](load::LoadReport& m) {
+              m.violations.back().party += "x";
+            }),
+            last);
+  EXPECT_EQ(mutated([](load::LoadReport& m) {
+              m.violations.back().schedule += "x";
+            }),
+            last);
+  EXPECT_EQ(mutated([](load::LoadReport& m) { m.violations.pop_back(); }),
+            "violations.size");
+}
+
+TEST(LoadGenerator, PhaseSecondsAddUpToTheTickLoop) {
+  load::LoadConfig cfg;
+  cfg.users = 200;
+  cfg.seed = 3;
+  cfg.block_capacity = 3;
+  cfg.threads = 2;
+  const load::LoadReport r = load::run_load(cfg);
+  const load::PhaseSeconds& p = r.phase_seconds;
+  for (double s : {p.bind, p.actor, p.drain, p.produce, p.audit,
+                   p.attribution}) {
+    EXPECT_GE(s, 0.0);
   }
-  ASSERT_EQ(serial.per_protocol.size(), parallel.per_protocol.size());
-  for (std::size_t m = 0; m < serial.per_protocol.size(); ++m) {
-    EXPECT_EQ(serial.per_protocol[m].txs_included,
-              parallel.per_protocol[m].txs_included);
-    EXPECT_EQ(serial.per_protocol[m].latency.p99,
-              parallel.per_protocol[m].latency.p99);
-  }
+  EXPECT_GT(p.bind, 0.0);
+  EXPECT_GT(p.produce, 0.0);
+  EXPECT_NEAR(p.bind + p.actor + p.drain + p.produce + p.audit,
+              r.wall_seconds, 1e-9 * static_cast<double>(r.ticks));
 }
 
 TEST(LoadGenerator, CongestedViolationsAllAttributed) {
@@ -226,12 +276,12 @@ TEST(LoadGenerator, SameSeedSameReport) {
   EXPECT_EQ(a.violations.size(), b.violations.size());
 }
 
-TEST(LoadGenerator, PinnedCongestedReport) {
-  // The deterministic fields of a 2,000-user congested run, pinned so any
-  // change to block production or the timeout sweep that shifts a single
-  // inclusion, refund or breach shows here.
+/// Runs the pinned 2,000-user congested load at `threads` and checks
+/// every deterministic field against its pinned value.
+void check_pinned_congested_report(unsigned threads) {
   load::LoadConfig cfg;
   cfg.users = 2000;
+  cfg.threads = threads;
   cfg.seed = 1;
   cfg.arrival_gap = 1;
   cfg.block_capacity = 4;
@@ -308,6 +358,18 @@ TEST(LoadGenerator, PinnedCongestedReport) {
   EXPECT_EQ(labels, expected_violations);
   EXPECT_EQ(r.fault_caused, expected_violations.size());
   EXPECT_EQ(r.unattributed, 0u);
+}
+
+TEST(LoadGenerator, PinnedCongestedReport) {
+  // The deterministic fields of a 2,000-user congested run, pinned so any
+  // change to block production or the timeout sweep that shifts a single
+  // inclusion, refund or breach shows here. The same values hold at every
+  // thread count; this run is congested enough (tens of active instances
+  // per tick) that the worker pool does the actor phase.
+  for (unsigned threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    check_pinned_congested_report(threads);
+  }
 }
 
 TEST(LoadGenerator, RejectsBadConfigs) {

@@ -14,8 +14,10 @@
 // identical at any --threads value except wall-time fields.
 //
 // --scaling re-runs the identical load at each listed thread count and
-// records the wall-time curve (verifying the reports agree tick-for-tick
-// along the way). --json (default BENCH_load.json) writes the artifact
+// records the wall-time curve (verifying along the way that every
+// deterministic report field agrees, load::deterministic_mismatch). Every
+// run also reports its tick loop's wall time by phase (phase_seconds).
+// --json (default BENCH_load.json) writes the artifact
 // scripts/bench_compare.py gates on.
 //
 // Exit status: 0 = clean (every violation, if any, attributed to
@@ -122,10 +124,29 @@ void json_latency(std::string& j, const char* key,
   j += buf;
 }
 
+/// "\"phase_seconds\": {...}": the tick loop's wall time by phase.
+void json_phases(std::string& j, const load::PhaseSeconds& p) {
+  char buf[256];
+  std::snprintf(buf, sizeof buf,
+                "\"phase_seconds\": {\"bind\": %.6f, \"actor\": %.6f, "
+                "\"drain\": %.6f, \"produce\": %.6f, \"audit\": %.6f, "
+                "\"attribution\": %.6f}",
+                p.bind, p.actor, p.drain, p.produce, p.audit, p.attribution);
+  j += buf;
+}
+
+void print_phases(const char* indent, const load::PhaseSeconds& p) {
+  std::printf(
+      "%sphases: bind %.3fs, actor %.3fs, drain %.3fs, produce %.3fs, "
+      "audit %.3fs, attribution %.3fs\n",
+      indent, p.bind, p.actor, p.drain, p.produce, p.audit, p.attribution);
+}
+
 struct ScalingPoint {
   unsigned threads = 0;
   double wall_seconds = 0;
   double instances_per_second = 0;
+  load::PhaseSeconds phase_seconds;
 };
 
 }  // namespace
@@ -243,15 +264,14 @@ int main(int argc, char** argv) {
       curve.push_back({t, r.wall_seconds,
                        r.wall_seconds > 0
                            ? static_cast<double>(r.instances) / r.wall_seconds
-                           : 0.0});
-      if (r.txs_included != report.txs_included ||
-          r.latency.p50 != report.latency.p50 ||
-          r.latency.p99 != report.latency.p99 ||
-          r.violations.size() != report.violations.size()) {
+                           : 0.0,
+                       r.phase_seconds});
+      const std::string field = load::deterministic_mismatch(report, r);
+      if (!field.empty()) {
         std::fprintf(stderr,
                      "xchain-bench: report at --threads=%u diverges from the "
-                     "primary run — thread-count nondeterminism\n",
-                     t);
+                     "primary run in %s — thread-count nondeterminism\n",
+                     t, field.c_str());
         scaling_mismatch = true;
       }
     }
@@ -296,9 +316,11 @@ int main(int argc, char** argv) {
     std::printf("  violations: %zu (%zu [chain-fault], %zu unattributed)\n",
                 report.violations.size(), report.fault_caused,
                 report.unattributed);
+    print_phases("  ", report.phase_seconds);
     for (const ScalingPoint& p : curve) {
       std::printf("  scaling: %2u threads  %.3fs  %.0f instances/s\n",
                   p.threads, p.wall_seconds, p.instances_per_second);
+      print_phases("    ", p.phase_seconds);
     }
   }
 
@@ -378,17 +400,20 @@ int main(int argc, char** argv) {
                     : 0.0);
   j += buf;
   j += "  ";
+  json_phases(j, report.phase_seconds);
+  j += ",\n  ";
   json_latency(j, "latency_wall_seconds", report.latency, seconds_per_tick);
   if (!curve.empty()) {
     j += ",\n  \"scaling\": [\n";
     for (std::size_t i = 0; i < curve.size(); ++i) {
       std::snprintf(buf, sizeof buf,
                     "    {\"threads\": %u, \"wall_seconds\": %.6f, "
-                    "\"instances_per_second\": %.3f}%s\n",
+                    "\"instances_per_second\": %.3f, ",
                     curve[i].threads, curve[i].wall_seconds,
-                    curve[i].instances_per_second,
-                    i + 1 < curve.size() ? "," : "");
+                    curve[i].instances_per_second);
       j += buf;
+      json_phases(j, curve[i].phase_seconds);
+      j += i + 1 < curve.size() ? "},\n" : "}\n";
     }
     j += "  ]";
   }
