@@ -14,7 +14,8 @@
 #     the --threads=4 run's --scaling=1,2 points pass the CLI's own
 #     whole-report determinism check;
 #   * every run, scaling points included, reports phase_seconds (the tick
-#     loop's wall time by phase), kept out of the determinism comparison;
+#     loop's wall time by phase) and pool_ticks (ticks whose actor phase
+#     ran on the worker pool), both kept out of the determinism comparison;
 #   * malformed flags and unknown mix protocols exit 2, numbers included:
 #     a flag integer is digits only (no whitespace, no '+', no junk).
 set -euo pipefail
@@ -41,8 +42,8 @@ if command -v python3 >/dev/null 2>&1; then
   python3 - "$work/t1.json" "$work/t4.json" <<'EOF'
 import json, sys
 WALL = {"threads", "wall_seconds", "instances_per_second", "txs_per_second",
-        "phase_seconds", "latency_wall_seconds", "scaling", "git_commit",
-        "build_type", "compiler", "hardware_threads"}
+        "phase_seconds", "pool_ticks", "latency_wall_seconds", "scaling",
+        "git_commit", "build_type", "compiler", "hardware_threads"}
 PHASES = {"bind", "actor", "drain", "produce", "audit", "attribution"}
 docs = []
 for path in sys.argv[1:3]:
@@ -55,10 +56,12 @@ for path in sys.argv[1:3]:
         set(doc["latency_ticks"]), doc["latency_ticks"]
     assert sum(p["instances"] for p in doc["protocols"]) == 200, \
         doc["protocols"]
-    for phases in [doc["phase_seconds"]] + \
-            [p["phase_seconds"] for p in doc.get("scaling", [])]:
+    for run in [doc] + doc.get("scaling", []):
+        phases = run["phase_seconds"]
         assert set(phases) == PHASES, phases
         assert all(v >= 0 for v in phases.values()), phases
+        pool = run["pool_ticks"]
+        assert isinstance(pool, int) and 0 <= pool <= doc["ticks"], pool
     docs.append({k: v for k, v in doc.items() if k not in WALL})
     scaling = [p["threads"] for p in doc.get("scaling", [])]
 assert scaling == [1, 2], scaling  # the --threads=4 run's curve

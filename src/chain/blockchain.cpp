@@ -5,6 +5,15 @@
 
 namespace xchain::chain {
 
+namespace {
+
+/// lower_bound order of the deadline index's buckets against a tick.
+constexpr auto kBucketBefore = [](const auto& bucket, Tick tick) {
+  return bucket.tick < tick;
+};
+
+}  // namespace
+
 ChainId TxContext::chain_id() const { return bc_.id(); }
 
 Ledger& TxContext::ledger() { return bc_.ledger_; }
@@ -101,14 +110,14 @@ void Blockchain::register_contract(std::unique_ptr<Contract> c) {
   std::vector<Tick> wakes = c->wake_ticks();
   std::sort(wakes.begin(), wakes.end());
   wakes.erase(std::unique(wakes.begin(), wakes.end()), wakes.end());
-  // The new id is the largest so far, so each entry lands after every
-  // entry of its tick: with deadlines offset by arrival (load binds), that
-  // is at or near the end of the index.
   for (const Tick t : wakes) {
-    const std::pair<Tick, ContractId> entry{t, c->id_};
-    wake_index_.insert(
-        std::upper_bound(wake_index_.begin(), wake_index_.end(), entry),
-        entry);
+    auto b = std::lower_bound(wake_buckets_.begin(), wake_buckets_.end(), t,
+                              kBucketBefore);
+    if (b == wake_buckets_.end() || b->tick != t) {
+      b = wake_buckets_.insert(b, {t, kNoLink});
+    }
+    wake_links_.push_back({c->id_, b->head});
+    b->head = static_cast<std::uint32_t>(wake_links_.size() - 1);
   }
   contracts_.push_back(std::move(c));
 }
@@ -140,12 +149,14 @@ void Blockchain::apply_batch(Tick prev, Tick now) {
   // contracts with a deadline in [prev, now) — every deadline this block
   // is the first to pass, including those an outage skipped — visited in
   // contract-id order (the order kFull event logs record), each once.
-  const auto lo = std::lower_bound(wake_index_.begin(), wake_index_.end(),
-                                   std::pair<Tick, ContractId>{prev, 0});
-  const auto hi = std::lower_bound(lo, wake_index_.end(),
-                                   std::pair<Tick, ContractId>{now, 0});
   due_.clear();
-  for (auto it = lo; it != hi; ++it) due_.push_back(it->second);
+  for (auto b = std::lower_bound(wake_buckets_.begin(), wake_buckets_.end(),
+                                prev, kBucketBefore);
+       b != wake_buckets_.end() && b->tick < now; ++b) {
+    for (std::uint32_t l = b->head; l != kNoLink; l = wake_links_[l].next) {
+      due_.push_back(wake_links_[l].contract);
+    }
+  }
   if (due_.size() > 1) {
     std::sort(due_.begin(), due_.end());
     due_.erase(std::unique(due_.begin(), due_.end()), due_.end());

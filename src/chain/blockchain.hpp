@@ -346,12 +346,26 @@ class Blockchain {
   std::vector<Transaction> mempool_;
   std::vector<Transaction> batch_;  ///< produce_block scratch, capacity reused
   std::vector<std::unique_ptr<Contract>> contracts_;
-  /// (wake tick, contract id) for every declared deadline, sorted; filled
-  /// at deploy and read-only after it. A block's due contracts are the
-  /// entries in [{prev height, 0}, {now, 0}), so the visited range
-  /// follows from height_ alone and reset()/snapshots carry no sweep
-  /// state.
-  std::vector<std::pair<Tick, ContractId>> wake_index_;
+  /// The deadline index: one bucket per declared wake tick, sorted by
+  /// tick, each heading a list through wake_links_ of the contracts that
+  /// declared it. A deploy appends one link per wake tick and inserts a
+  /// bucket only for a tick no contract declared before, so its cost
+  /// grows with the distinct later ticks, never with the contracts
+  /// waking at them. Filled at deploy and read-only after it. A block's
+  /// due contracts are the buckets with a tick in [prev height, now), so
+  /// the visited range follows from height_ alone and reset()/snapshots
+  /// carry no sweep state.
+  struct WakeBucket {
+    Tick tick;
+    std::uint32_t head;  ///< newest link of this tick in wake_links_
+  };
+  struct WakeLink {
+    ContractId contract;
+    std::uint32_t next;  ///< older link of the same tick, or kNoLink
+  };
+  static constexpr std::uint32_t kNoLink = UINT32_MAX;
+  std::vector<WakeBucket> wake_buckets_;
+  std::vector<WakeLink> wake_links_;
   std::vector<ContractId> due_;  ///< sweep scratch, capacity reused
   EventLog events_;
   std::size_t applied_tx_count_ = 0;

@@ -40,6 +40,23 @@ struct Instance {
   std::size_t txs = 0;         ///< its included transactions
 };
 
+/// Fewest active instances per shard for which a tick's actor phase goes
+/// to the worker pool; smaller ticks run serially on the calling thread
+/// while the workers sleep. Measured on a 4-core host:
+///   * serial actor work costs ~1.1 us per active instance per tick in
+///     the 10k-user congested load (0.155 s over 27.8 active x 5,038
+///     ticks);
+///   * a pool round costs ~20-25 us of wake-up and hand-back (an empty
+///     job, workers asleep between rounds), and a pooled tick ~30-90 us
+///     more in all: that load's actor phase took 0.31-0.61 s at 2
+///     threads, and its serial phases ran 15-40% slower as instance
+///     state moved between cores.
+/// A shard thus pays for its round from ~30-80 instances; 128 (~140 us of
+/// work) clears the worst measured cost. Cross-check on all-at-once
+/// arrivals (arrival_gap 0): 256 instances at 2 threads (128 per shard)
+/// tie the serial tick loop, 512 at 2 or 4 threads beat it by ~20%.
+constexpr std::size_t kShardGrain = 128;
+
 /// Nearest-rank percentile over sorted latencies: index p*(n-1)/100.
 Tick percentile(const std::vector<Tick>& sorted, int p) {
   if (sorted.empty()) return 0;
@@ -176,9 +193,9 @@ LoadReport run_load(const LoadConfig& cfg) {
   // The actor phase's work: contiguous instance shards in arrival order,
   // one per pool shard. Actors only read chain state and fill their
   // instance's private sink, so shards share nothing mutable. The pool
-  // starts its threads here, once: a tick's actor work (tens of
-  // microseconds) costs less than starting a thread. Declared after
-  // everything its shards touch, so it joins before they are destroyed.
+  // starts its threads here, once: even a tick large enough to split
+  // costs less than starting a thread. Declared after everything its
+  // shards touch, so it joins before they are destroyed.
   const auto tick_range = [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) {
       for (sim::Party* actor : active[i]->bound->actors()) {
@@ -231,12 +248,14 @@ LoadReport run_load(const LoadConfig& cfg) {
     }
     lap(phase.bind);
 
-    // 2. Parallel tick phase; too few instances to split run serially.
-    if (threads == 1 || active.size() < 2 * threads) {
+    // 2. Actor ticks: on the pool only when every shard gets a grain's
+    // worth of instances, else serially here with the workers asleep.
+    if (threads == 1 || active.size() < kShardGrain * threads) {
       tick_range(0, active.size());
     } else {
       chunk = (active.size() + threads - 1) / threads;
       pool.run(tick_shard);
+      ++report.pool_ticks;
     }
     lap(phase.actor);
 

@@ -15,12 +15,14 @@
 // The tick loop is deterministic at any thread count:
 //   1. serial arrivals  — instances whose start tick is due are bound
 //      (mint endowments, deploy contracts, build persistent actors);
-//   2. parallel ticks   — active instances are split into contiguous
-//      shards in arrival order, one per thread of a WorkerPool
-//      (load/worker_pool.hpp) started once per run; each actor's tick()
-//      only reads chain state and records its submissions into the
-//      instance's private TxSink. A tick with fewer than 2 * threads
-//      active instances runs serially on the calling thread;
+//   2. actor ticks      — each actor's tick() only reads chain state and
+//      records its submissions into the instance's private TxSink. A tick
+//      with enough active instances to give every thread a grain of them
+//      (kShardGrain in load_gen.cpp, sized so each shard outweighs one
+//      pool hand-off) is split into contiguous shards in arrival order,
+//      one per thread of a WorkerPool (load/worker_pool.hpp) started once
+//      per run; every smaller tick runs serially on the calling thread
+//      (LoadReport::pool_ticks counts the split ones);
 //   3. serial drain     — sinks drain into the mempools in arrival order,
 //      so submission sequence numbers never depend on thread timing;
 //   4. block production — produce_all(now) runs the fee-ordered bounded
@@ -56,7 +58,8 @@ struct MixEntry {
 };
 
 /// Configuration of one load run. The report is a pure function of
-/// everything here except `threads`, which only changes wall time.
+/// everything here except `threads`, which only changes the wall block
+/// (wall time and LoadReport::pool_ticks).
 struct LoadConfig {
   std::size_t users = 1000;  ///< protocol instances to run to completion
   unsigned threads = 1;      ///< tick-phase worker threads (>= 1)
@@ -113,7 +116,8 @@ struct PhaseSeconds {
 };
 
 /// Result of one load run. Identical for any `threads` value except the
-/// measured wall_seconds and phase_seconds fields (deterministic_mismatch;
+/// wall block: the measured wall_seconds and phase_seconds, and
+/// pool_ticks, which follows from `threads` (deterministic_mismatch;
 /// pinned by tests/load_generator_test.cpp).
 struct LoadReport {
   std::size_t instances = 0;     ///< completed (== LoadConfig::users)
@@ -122,6 +126,7 @@ struct LoadReport {
   Tick ticks = 0;                ///< simulated ticks until the last completion
   double wall_seconds = 0.0;     ///< measured wall time of the tick loop
   PhaseSeconds phase_seconds;    ///< measured; wall_seconds by phase
+  std::size_t pool_ticks = 0;    ///< ticks whose actor phase ran on the pool
 
   LatencyStats latency;                      ///< across all instances
   std::vector<ProtocolStats> per_protocol;   ///< in mix order
@@ -142,8 +147,8 @@ struct LoadReport {
 LoadReport run_load(const LoadConfig& cfg);
 
 /// Compares every deterministic field of two reports: all but
-/// wall_seconds and phase_seconds, violations in order. Returns "" when
-/// they agree, else the first differing field, e.g.
+/// wall_seconds, phase_seconds and pool_ticks, violations in order.
+/// Returns "" when they agree, else the first differing field, e.g.
 /// "per_protocol[1].latency.p99".
 std::string deterministic_mismatch(const LoadReport& a, const LoadReport& b);
 

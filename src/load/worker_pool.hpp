@@ -2,10 +2,11 @@
 
 // Persistent worker pool for the load generator's parallel actor phase.
 //
-// run_load ticks a few dozen actors per simulated tick, a job far smaller
-// than the cost of starting a thread, so the pool starts its `threads - 1`
-// workers once and parks them between rounds. A round is one run(job):
-// the caller bumps an epoch counter and wakes the workers
+// run_load hands the pool only ticks with at least a grain of active
+// instances per shard (kShardGrain in load_gen.cpp), yet even those are
+// far smaller jobs than starting a thread, so the pool starts its
+// `threads - 1` workers once and parks them between rounds. A round is
+// one run(job): the caller bumps an epoch counter and wakes the workers
 // (std::atomic::wait/notify_all, a futex on Linux), runs shard 0 itself,
 // then sleeps on a pending count until every worker has run its shard.
 // No thread spins on its own account.

@@ -6,9 +6,9 @@
 //     disjoint account bases produce exactly the payoffs of a private
 //     solo world: ledger rows never bleed across instances;
 //   * determinism — the LoadReport is identical at any thread count
-//     (modulo the measured wall_seconds and phase_seconds, as
+//     (modulo the wall block: wall_seconds, phase_seconds, pool_ticks, as
 //     load::deterministic_mismatch compares it) and for repeated runs of
-//     one seed;
+//     one seed, also when the actor phase runs sharded on the worker pool;
 //   * the audit contract — an uncongested load is violation-free, and a
 //     congested one attributes every violation to the chain faults
 //     (unattributed == 0, the xchain-bench gate);
@@ -177,6 +177,31 @@ TEST(LoadGenerator, ReportIsThreadCountInvariant) {
   EXPECT_EQ(load::deterministic_mismatch(serial, parallel), "");
 }
 
+TEST(LoadGenerator, ShardedActorPhaseIsThreadCountInvariant) {
+  // Every instance arrives at tick 0, so every tick holds up to 1,000
+  // active: enough for a grain per shard at 4 threads, and the worker
+  // pool runs those actor phases. Blocks of 64 keep most instances in
+  // play; at the usual cap of 4 a burst this size is crowded out almost
+  // entirely and the report would not notice a shard skipping one.
+  load::LoadConfig cfg;
+  cfg.users = 1000;
+  cfg.seed = 9;
+  cfg.arrival_gap = 0;
+  cfg.block_capacity = 64;
+  cfg.mix = {{"two-party", 2}, {"broker", 1}, {"bridge-transfer", 1}};
+
+  cfg.threads = 1;
+  const load::LoadReport serial = load::run_load(cfg);
+  EXPECT_EQ(serial.pool_ticks, 0u);
+  for (unsigned threads : {2u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    cfg.threads = threads;
+    const load::LoadReport pooled = load::run_load(cfg);
+    EXPECT_GT(pooled.pool_ticks, 0u);
+    EXPECT_EQ(load::deterministic_mismatch(serial, pooled), "");
+  }
+}
+
 TEST(LoadGenerator, MismatchNamesTheFirstDifferingField) {
   load::LoadConfig cfg;
   cfg.users = 200;
@@ -187,10 +212,11 @@ TEST(LoadGenerator, MismatchNamesTheFirstDifferingField) {
   ASSERT_FALSE(base.violations.empty());
   EXPECT_EQ(load::deterministic_mismatch(base, base), "");
 
-  // Measured fields never count.
+  // Wall-block fields never count.
   load::LoadReport r = base;
   r.wall_seconds += 1;
   r.phase_seconds.actor += 1;
+  ++r.pool_ticks;
   EXPECT_EQ(load::deterministic_mismatch(base, r), "");
 
   const auto mutated = [&](auto&& edit) {
@@ -364,8 +390,9 @@ TEST(LoadGenerator, PinnedCongestedReport) {
   // The deterministic fields of a 2,000-user congested run, pinned so any
   // change to block production or the timeout sweep that shifts a single
   // inclusion, refund or breach shows here. The same values hold at every
-  // thread count; this run is congested enough (tens of active instances
-  // per tick) that the worker pool does the actor phase.
+  // thread count. With tens of active instances per tick, no tick clears
+  // the pool's grain: ShardedActorPhaseIsThreadCountInvariant covers the
+  // pooled path.
   for (unsigned threads : {1u, 2u, 4u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     check_pinned_congested_report(threads);

@@ -5,7 +5,8 @@
 // Pinned here:
 //   * an outage that covers a timelock still refunds, in the first block
 //     after the outage;
-//   * contracts waking in one block emit their kFull events in id order;
+//   * contracts waking in one block emit their kFull events in id order,
+//     also when many of them share each deadline;
 //   * snap_push/snap_rewind across a wake tick replays the same refund;
 //   * a contract deployed mid-run (a load bind) is woken;
 //   * the debug-build wake oracle catches a contract acting at a tick it
@@ -79,6 +80,28 @@ TEST(TimeoutIndex, SameBlockWakesEmitInContractIdOrder) {
     if (e.kind == "refunded") refunds.push_back(e.contract);
   }
   EXPECT_EQ(refunds, (std::vector<ContractId>{late.id(), early.id()}));
+}
+
+TEST(TimeoutIndex, ManySharedDeadlinesWakeInContractIdOrder) {
+  MultiChain chains;
+  Blockchain& bc = chains.add_chain("apricot");
+  chains.set_environment({FaultPlan::parse("apricot:outage@2-6"), {}});
+  // 60 contracts on three shared timelocks, later deadlines deployed
+  // first; the outage makes all of them due in block 7.
+  constexpr Tick kTimelocks[] = {5, 3, 4};
+  std::vector<ContractId> deployed;
+  for (int i = 0; i < 60; ++i) {
+    deployed.push_back(deploy_htlc(bc, 0, kTimelocks[i % 3]).id());
+  }
+  produce_through(chains, 0, 8);
+
+  std::vector<ContractId> refunds;
+  for (const Event& e : bc.events()) {
+    if (e.kind != "refunded") continue;
+    refunds.push_back(e.contract);
+    EXPECT_EQ(e.tick, Tick{7}) << "contract " << e.contract;
+  }
+  EXPECT_EQ(refunds, deployed);
 }
 
 TEST(TimeoutIndex, SnapshotRewindAcrossWakeTickReplaysRefund) {

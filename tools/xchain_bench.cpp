@@ -16,7 +16,8 @@
 // --scaling re-runs the identical load at each listed thread count and
 // records the wall-time curve (verifying along the way that every
 // deterministic report field agrees, load::deterministic_mismatch). Every
-// run also reports its tick loop's wall time by phase (phase_seconds).
+// run also reports its tick loop's wall time by phase (phase_seconds) and
+// how many ticks ran their actor phase on the worker pool (pool_ticks).
 // --json (default BENCH_load.json) writes the artifact
 // scripts/bench_compare.py gates on.
 //
@@ -146,6 +147,7 @@ struct ScalingPoint {
   unsigned threads = 0;
   double wall_seconds = 0;
   double instances_per_second = 0;
+  std::size_t pool_ticks = 0;
   load::PhaseSeconds phase_seconds;
 };
 
@@ -265,7 +267,7 @@ int main(int argc, char** argv) {
                        r.wall_seconds > 0
                            ? static_cast<double>(r.instances) / r.wall_seconds
                            : 0.0,
-                       r.phase_seconds});
+                       r.pool_ticks, r.phase_seconds});
       const std::string field = load::deterministic_mismatch(report, r);
       if (!field.empty()) {
         std::fprintf(stderr,
@@ -317,9 +319,12 @@ int main(int argc, char** argv) {
                 report.violations.size(), report.fault_caused,
                 report.unattributed);
     print_phases("  ", report.phase_seconds);
+    std::printf("  pool ticks: %zu of %lld\n", report.pool_ticks,
+                static_cast<long long>(report.ticks));
     for (const ScalingPoint& p : curve) {
-      std::printf("  scaling: %2u threads  %.3fs  %.0f instances/s\n",
-                  p.threads, p.wall_seconds, p.instances_per_second);
+      std::printf(
+          "  scaling: %2u threads  %.3fs  %.0f instances/s  %zu pool ticks\n",
+          p.threads, p.wall_seconds, p.instances_per_second, p.pool_ticks);
       print_phases("    ", p.phase_seconds);
     }
   }
@@ -388,7 +393,8 @@ int main(int argc, char** argv) {
   std::snprintf(buf, sizeof buf,
                 "  \"wall_seconds\": %.6f,\n"
                 "  \"instances_per_second\": %.3f,\n"
-                "  \"txs_per_second\": %.3f,\n",
+                "  \"txs_per_second\": %.3f,\n"
+                "  \"pool_ticks\": %zu,\n",
                 report.wall_seconds,
                 report.wall_seconds > 0
                     ? static_cast<double>(report.instances) /
@@ -397,7 +403,8 @@ int main(int argc, char** argv) {
                 report.wall_seconds > 0
                     ? static_cast<double>(report.txs_included) /
                           report.wall_seconds
-                    : 0.0);
+                    : 0.0,
+                report.pool_ticks);
   j += buf;
   j += "  ";
   json_phases(j, report.phase_seconds);
@@ -408,9 +415,9 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < curve.size(); ++i) {
       std::snprintf(buf, sizeof buf,
                     "    {\"threads\": %u, \"wall_seconds\": %.6f, "
-                    "\"instances_per_second\": %.3f, ",
+                    "\"instances_per_second\": %.3f, \"pool_ticks\": %zu, ",
                     curve[i].threads, curve[i].wall_seconds,
-                    curve[i].instances_per_second);
+                    curve[i].instances_per_second, curve[i].pool_ticks);
       j += buf;
       json_phases(j, curve[i].phase_seconds);
       j += i + 1 < curve.size() ? "},\n" : "}\n";
