@@ -1,6 +1,7 @@
 // E7 — substrate microbenchmarks (no direct paper counterpart; these
 // establish that the simulation substrate is fast enough for the
-// strategy-space exploration in E6 to count as "reasonable time").
+// strategy-space exploration in E6, bench_scenario_sweep, to count as
+// "reasonable time").
 
 #include <benchmark/benchmark.h>
 

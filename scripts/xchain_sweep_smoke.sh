@@ -14,7 +14,9 @@
 #   * a bounded --strategies=late-delays sweep runs clean and stamps the
 #     JSON with the strategy space;
 #   * malformed flag integers (whitespace, '+', junk) exit 2, while the
-#     documented --max-deviators=-1 is accepted.
+#     documented --max-deviators=-1 is accepted; --set integer values
+#     (delta=+3, 'delta= 3', bids=+100,80) fail the same way, as do
+#     auctions no bid can win (bids=0,0; sealed collateral=50).
 set -euo pipefail
 
 bin="$1"
@@ -104,6 +106,16 @@ for bad in '--max-deviators=+1' '--max-deviators= 1' '--max-deviators=-' \
            '--max-configs=+3'; do
   "$bin" --protocol=two-party --dry-run "$bad" >/dev/null 2>&1; rc=$?
   [[ $rc -eq 2 ]] || fail "'$bad' should exit 2 (got $rc)"
+done
+# Parameter values share the flags' integer grammar, and an auction no
+# bid can win (all bids zero, sealed collateral below the top bid) is a
+# configuration error too.
+for bad in 'two-party delta=+3' 'two-party delta= 3' \
+           'auction-open bids=+100,80' 'auction-open bids=0,0' \
+           'auction-sealed collateral=50'; do
+  "$bin" --protocol="${bad%% *}" --set "${bad#* }" --dry-run \
+    >/dev/null 2>&1; rc=$?
+  [[ $rc -eq 2 ]] || fail "--set '${bad#* }' should exit 2 (got $rc)"
 done
 set -e
 

@@ -1,4 +1,5 @@
-// Strict integer flag parsing shared by the command-line tools.
+// Strict integer parsing: the one grammar for every integer the user
+// types — command-line flags, --set/--grid parameter values, bid lists.
 #pragma once
 
 #include <algorithm>
@@ -7,7 +8,7 @@
 #include <cstdlib>
 #include <string>
 
-namespace xchain::tools {
+namespace xchain {
 
 /// True iff `s` is one or more decimal digits.
 inline bool all_digits(const std::string& s) {
@@ -16,10 +17,11 @@ inline bool all_digits(const std::string& s) {
   });
 }
 
-/// Parses a flag integer into [lo, hi]. Accepts decimal digits only, with
-/// a leading '-' where the range admits negatives (lo < 0): bare strtoll
-/// would also take leading whitespace and a '+', so "--users= 20" used to
-/// pass as 20. Overflow and trailing junk fail like any other bad value.
+/// Parses an integer into [lo, hi]. Accepts decimal digits only, with a
+/// leading '-' where the range admits negatives (lo < 0): bare strtoll
+/// would also take leading whitespace and a '+', so "--users= 20" and
+/// "delta=+3" would pass. Overflow and trailing junk fail like any other
+/// bad value.
 inline bool parse_long(const std::string& s, long long lo, long long hi,
                        long long& out) {
   const bool negative = lo < 0 && !s.empty() && s.front() == '-';
@@ -38,4 +40,4 @@ inline bool parse_seed(const std::string& s, unsigned long long& out) {
   return errno != ERANGE;
 }
 
-}  // namespace xchain::tools
+}  // namespace xchain

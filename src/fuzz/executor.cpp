@@ -56,6 +56,11 @@ RunOutcome ScheduleExecutor::run(const sim::Schedule& s) {
   }
   out.conforming_audited =
       sim::audit_schedule(s.label, out.outcomes, out.violations);
+  // The run properties hold only in the synchronous model (see
+  // sim::audit_run_properties); fault-injected instances skip them.
+  if (!adapter_.environment().active()) {
+    sim::audit_run_properties(s.label, out.outcomes, out.violations);
+  }
   if (!frame_) mix_outcomes(h, out);
   out.signature = h;
   return out;

@@ -1,8 +1,11 @@
 #include "fuzz/mutator.hpp"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstdlib>
+
+#include "common/strict_int.hpp"
 
 namespace xchain::fuzz {
 
@@ -314,19 +317,15 @@ void Mutator::mutate_param(FuzzInput& child, Rng& rng) const {
     }
     case sim::ParamType::kString: {
       // The only string param in the registry is the auction bid list;
-      // jitter it element-wise when it parses as a CSV of integers.
+      // jitter it element-wise (the input is canonical, so the list has
+      // already passed the registry's own parse).
       std::vector<std::int64_t> bids;
-      try {
-        for (const std::string& v :
-             sim::split_csv(spec.key, ps.get_string(spec.key))) {
-          std::size_t pos = 0;
-          bids.push_back(std::stoll(v, &pos));
-          if (pos != v.size()) return;
-        }
-      } catch (const std::exception&) {
-        return;
+      for (const std::string& v :
+           sim::split_csv(spec.key, ps.get_string(spec.key))) {
+        long long bid = 0;
+        if (!parse_long(v, LLONG_MIN, LLONG_MAX, bid)) return;
+        bids.push_back(bid);
       }
-      if (bids.empty()) return;
       const std::uint64_t mode = rng.below(5);
       if (mode == 0 && bids.size() < 4) {
         bids.push_back(std::max<std::int64_t>(

@@ -1,10 +1,13 @@
 #include "sim/param.hpp"
 
 #include <cerrno>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+
+#include "common/strict_int.hpp"
 
 namespace xchain::sim {
 
@@ -20,10 +23,8 @@ std::string join_keys(const std::vector<ParamSpec>& specs) {
 }
 
 std::int64_t parse_int(const std::string& key, const std::string& value) {
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0' || errno == ERANGE) {
+  long long v = 0;
+  if (!parse_long(value, LLONG_MIN, LLONG_MAX, v)) {
     throw ParamError("param '" + key + "': '" + value +
                      "' is not an integer");
   }

@@ -1,5 +1,7 @@
 #include "sim/payoff_audit.hpp"
 
+#include <algorithm>
+
 namespace xchain::sim {
 
 std::string Violation::str() const {
@@ -53,6 +55,33 @@ std::size_t audit_schedule(const std::string& schedule_label,
                    "native-coin flows not zero-sum across parties"});
   }
   return audited;
+}
+
+bool principal_safe(const core::PayoffDelta& payoff, const std::string& given,
+                    const std::string& wanted) {
+  const auto lost = payoff.by_symbol.find(given);
+  if (lost == payoff.by_symbol.end() || lost->second >= 0) return true;
+  const auto got = payoff.by_symbol.find(wanted);
+  return got != payoff.by_symbol.end() && got->second > 0;
+}
+
+void audit_run_properties(const std::string& schedule_label,
+                          const std::vector<PartyOutcome>& outcomes,
+                          std::vector<Violation>& out) {
+  // Bits first: both hold on almost every schedule, so the common case
+  // costs one test per party plus one per run.
+  for (const PartyOutcome& o : outcomes) {
+    if (!o.bound.principal_safe && o.conforming) {
+      out.push_back({schedule_label, o.name, o.payoff.coin_delta, 0,
+                     "escrowed principal left without the counter-asset"});
+    }
+  }
+  if (!outcomes.empty() && !outcomes.front().bound.run_completed &&
+      std::all_of(outcomes.begin(), outcomes.end(),
+                  [](const PartyOutcome& o) { return o.conforming; })) {
+    out.push_back({schedule_label, "<all>", 0, 0,
+                   "every party conformed but the run did not complete"});
+  }
 }
 
 }  // namespace xchain::sim

@@ -23,6 +23,17 @@ struct HedgeBound {
   /// to `min_coin_delta - spend_allowance` only when `goods_received`.
   Amount spend_allowance = 0;
   bool goods_received = false;
+
+  /// The synchronous model's two non-payoff properties, as path-determined
+  /// facts of the run (audit_run_properties checks them). Both default to
+  /// "holds", so protocols and parties without the notion never trip them.
+  /// Whether the run completed (swap swapped, deal closed, transfer
+  /// delivered). A run-wide fact: protocols set it on the first outcome
+  /// only, and the audit reads it there alone.
+  bool run_completed = true;
+  /// False when the party's escrowed principal left it and the
+  /// counter-asset did not arrive (see principal_safe()).
+  bool principal_safe = true;
 };
 
 /// One party's end-of-run state as seen by the audit.
@@ -62,5 +73,26 @@ std::size_t audit_schedule(const std::string& schedule_label,
                            const std::vector<PartyOutcome>& outcomes,
                            std::vector<Violation>& out,
                            bool check_conservation = true);
+
+/// Principal safety for one party's payoff: true unless `given` (the
+/// principal it escrowed) left its holdings while `wanted` (the
+/// counter-asset) did not arrive.
+bool principal_safe(const core::PayoffDelta& payoff, const std::string& given,
+                    const std::string& wanted);
+
+/// The two properties the paper's §10 model check verifies beyond the
+/// payoff floors, read from the HedgeBound bits:
+///  * liveness: when every party conforms, the run completes (the first
+///    outcome's `run_completed`) — one "<all>" violation per schedule
+///    otherwise;
+///  * principal safety: a conforming party whose escrowed principal left
+///    received the counter-asset — one violation per such party.
+/// Both hold only in the synchronous model: chain faults and shared-chain
+/// congestion can stall a conforming run through no party's deviation, so
+/// fault sweeps and load runs audit the payoff floors alone. Appends any
+/// violations to `out`.
+void audit_run_properties(const std::string& schedule_label,
+                          const std::vector<PartyOutcome>& outcomes,
+                          std::vector<Violation>& out);
 
 }  // namespace xchain::sim

@@ -33,7 +33,7 @@ inline core::MultiPartyConfig reference_multi_party_config(
 
 inline core::AuctionConfig reference_auction_config() {
   return auction_config_from(
-      ProtocolRegistry::global().defaults("auction-open"));
+      ProtocolRegistry::global().defaults("auction-open"), /*sealed=*/false);
 }
 
 inline core::BrokerConfig reference_broker_config() {

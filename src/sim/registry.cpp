@@ -1,5 +1,10 @@
 #include "sim/registry.hpp"
 
+#include <algorithm>
+#include <climits>
+
+#include "common/strict_int.hpp"
+
 namespace xchain::sim {
 
 namespace {
@@ -18,14 +23,8 @@ std::string join(const std::vector<std::string>& names) {
 std::vector<Amount> parse_bids(const std::string& csv) {
   std::vector<Amount> out;
   for (const std::string& v : split_csv("param bids", csv)) {
-    std::size_t pos = 0;
     long long parsed = 0;
-    try {
-      parsed = std::stoll(v, &pos);
-    } catch (const std::exception&) {
-      pos = 0;
-    }
-    if (pos != v.size()) {
+    if (!parse_long(v, LLONG_MIN, LLONG_MAX, parsed)) {
       throw ParamError("param 'bids': '" + v +
                        "' is not an integer (want e.g. bids=100,80)");
     }
@@ -162,12 +161,12 @@ ProtocolRegistry build_global() {
   r.add({"auction-open", "open-bid ticket auction (§9)", auction_schema(),
          [](const ParamSet& p) {
            return std::make_unique<TicketAuctionAdapter>(
-               auction_config_from(p), /*sealed=*/false);
+               auction_config_from(p, /*sealed=*/false), /*sealed=*/false);
          }});
   r.add({"auction-sealed", "sealed-bid ticket auction (§9, footnote 8)",
          auction_schema(), [](const ParamSet& p) {
            return std::make_unique<TicketAuctionAdapter>(
-               auction_config_from(p), /*sealed=*/true);
+               auction_config_from(p, /*sealed=*/true), /*sealed=*/true);
          }});
   r.add({"broker", "three-party brokered sale (§8)", broker_schema(),
          [](const ParamSet& p) {
@@ -276,13 +275,30 @@ core::MultiPartyConfig multi_party_config_from(const ParamSet& p,
   return cfg;
 }
 
-core::AuctionConfig auction_config_from(const ParamSet& p) {
+core::AuctionConfig auction_config_from(const ParamSet& p, bool sealed) {
   core::AuctionConfig cfg;
   cfg.ticket_count = p.get_amount("ticket_count");
   cfg.bids = parse_bids(p.get_string("bids"));
   cfg.premium_unit = p.get_amount("premium_unit");
   cfg.delta = p.get_int("delta");
   cfg.collateral = p.get_amount("collateral");
+  // §9 preconditions: some bid can win. The coin contracts ignore a zero
+  // bid, and the sealed one rejects a reveal above the uniform collateral
+  // M. Without a valid highest bid a fully conforming auction has no
+  // winner and refunds everyone — a configuration choice, not a deviation —
+  // so reject it up front, as the broker spread and the bridge quorum are.
+  const Amount top = cfg.bids.empty()
+                         ? 0
+                         : *std::max_element(cfg.bids.begin(), cfg.bids.end());
+  if (top <= 0) {
+    throw ParamError("param 'bids': '" + p.get_string("bids") +
+                     "' has no positive bid (nothing can win the auction)");
+  }
+  if (sealed && cfg.collateral < top) {
+    throw ParamError("param 'collateral': " + std::to_string(cfg.collateral) +
+                     " is below the highest bid " + std::to_string(top) +
+                     " (the sealed collateral must cover every bid)");
+  }
   return cfg;
 }
 

@@ -87,7 +87,9 @@ class ProtocolRegistry {
 core::TwoPartyConfig two_party_config_from(const ParamSet& p);
 core::MultiPartyConfig multi_party_config_from(const ParamSet& p,
                                                graph::Digraph g);
-core::AuctionConfig auction_config_from(const ParamSet& p);
+/// Rejects a bid list with no positive bid and, when `sealed`, a
+/// collateral below the highest bid (no bid could win) with ParamError.
+core::AuctionConfig auction_config_from(const ParamSet& p, bool sealed);
 core::BrokerConfig broker_config_from(const ParamSet& p);
 core::BootstrapConfig bootstrap_config_from(const ParamSet& p);
 /// Shared by both bridge variants; rejects quorum > n_witnesses (an

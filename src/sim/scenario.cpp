@@ -165,25 +165,39 @@ struct ShardResult {
   std::vector<std::size_t> violation_raw;
 };
 
+/// Audits one decoded schedule's outcomes, appending to `violations` and
+/// returning the number of conforming parties audited: the payoff floors
+/// always, and the run properties (liveness, principal safety) when the
+/// sweep is `synchronous` — no chain environment active, the paper's model.
+/// Schedules are decoded without their label (on a reused world the label
+/// strings would be a large fraction of the per-schedule cost), so it is
+/// built here, only for a schedule that produced violations.
+std::size_t audit_decoded(const ScheduleSpace& space, Schedule& s,
+                          const std::vector<PartyOutcome>& outcomes,
+                          bool synchronous,
+                          std::vector<Violation>& violations) {
+  const std::size_t before = violations.size();
+  const std::size_t audited = audit_schedule(s.label, outcomes, violations);
+  if (synchronous) audit_run_properties(s.label, outcomes, violations);
+  if (violations.size() != before) {
+    space.fill_label(s);
+    for (std::size_t v = before; v < violations.size(); ++v) {
+      violations[v].schedule = s.label;
+    }
+  }
+  return audited;
+}
+
 void sweep_range(const ProtocolAdapter& adapter, const ScheduleSpace& space,
                  int max_deviators, std::size_t begin, std::size_t end,
                  ShardResult& out) {
+  const bool synchronous = !adapter.environment().active();
   Schedule s;
   for (std::size_t i = begin; i < end; ++i) {
-    // Decode without the label: on a reused world the label strings would
-    // be a large fraction of the per-schedule cost, and the audit only
-    // needs them on (rare) violations — fill them in after the fact.
     if (!space.make(i, max_deviators, s, /*with_label=*/false)) continue;
-    const std::vector<PartyOutcome> outcomes = adapter.run(s);
-    const std::size_t before = out.violations.size();
-    out.conforming_audited += audit_schedule(s.label, outcomes, out.violations);
-    if (out.violations.size() != before) {
-      space.fill_label(s);
-      for (std::size_t v = before; v < out.violations.size(); ++v) {
-        out.violations[v].schedule = s.label;
-        out.violation_raw.push_back(i);
-      }
-    }
+    out.conforming_audited += audit_decoded(space, s, adapter.run(s),
+                                            synchronous, out.violations);
+    out.violation_raw.resize(out.violations.size(), i);
     ++out.schedules_run;
   }
 }
@@ -798,16 +812,9 @@ SweepReport ScenarioRunner::sweep(const SweepOptions& opts) const {
       if (!space.make(i, opts.max_deviators, s, /*with_label=*/false)) {
         continue;
       }
-      const std::vector<PartyOutcome>& outcomes = exec.run_one(i, s, scratch);
-      const std::size_t before = report.violations.size();
       report.conforming_audited +=
-          audit_schedule(s.label, outcomes, report.violations);
-      if (report.violations.size() != before) {
-        space.fill_label(s);
-        for (std::size_t v = before; v < report.violations.size(); ++v) {
-          report.violations[v].schedule = s.label;
-        }
-      }
+          audit_decoded(space, s, exec.run_one(i, s, scratch),
+                        !env_active, report.violations);
       ++report.schedules_run;
     }
     report.nodes_executed = exec.nodes_executed();
@@ -1017,8 +1024,22 @@ template class WorldAdapter<BootstrapProtocol>;
 template class WorldAdapter<BridgeProtocol>;
 
 // ---------------------------------------------------------------------------
-// Outcome mappings: each protocol's hedge floors
+// Outcome mappings: each protocol's hedge floors and run properties
 // ---------------------------------------------------------------------------
+
+namespace {
+
+/// The apricot<->banana swaps' run properties: completion is the swap,
+/// and each party's principal leaves only against the other's.
+void fill_swap_properties(bool swapped, PartyOutcome& alice,
+                          PartyOutcome& bob) {
+  alice.bound.run_completed = swapped;
+  alice.bound.principal_safe =
+      principal_safe(alice.payoff, "apricot", "banana");
+  bob.bound.principal_safe = principal_safe(bob.payoff, "banana", "apricot");
+}
+
+}  // namespace
 
 std::vector<PartyOutcome> TwoPartyProtocol::outcomes(
     const core::TwoPartyResult& r, const Schedule& s) const {
@@ -1027,6 +1048,7 @@ std::vector<PartyOutcome> TwoPartyProtocol::outcomes(
   if (r.alice_lockup > 0) alice.bound.min_coin_delta = cfg.premium_b;
   PartyOutcome bob{"bob", s.plans[1].conforms_within(cfg.delta), r.bob, {}};
   if (r.bob_lockup > 0) bob.bound.min_coin_delta = cfg.premium_a;
+  fill_swap_properties(r.swapped, alice, bob);
   return {std::move(alice), std::move(bob)};
 }
 
@@ -1041,6 +1063,7 @@ std::vector<PartyOutcome> MultiPartyProtocol::outcomes(
     }
     outcomes.push_back(std::move(o));
   }
+  outcomes.front().bound.run_completed = r.all_redeemed;
   return outcomes;
 }
 
@@ -1093,6 +1116,7 @@ std::vector<PartyOutcome> AuctionProtocol::outcomes(
   outcomes.push_back(
       {"auctioneer", s.plans[0].conforms_within(cfg.delta), r.auctioneer,
        {}});
+  outcomes.back().bound.run_completed = r.completed;
   for (std::size_t i = 0; i + 1 < s.plans.size(); ++i) {
     PartyOutcome o{"bidder-" + std::to_string(i + 1),
                    s.plans[i + 1].conforms_within(cfg.delta), r.bidders[i],
@@ -1148,6 +1172,11 @@ std::vector<PartyOutcome> BrokerProtocol::outcomes(
   if (r.carol_lockup > 0 && !was_paid(r.carol, "ticket")) {
     carol.bound.min_coin_delta = cfg.premium_unit;
   }
+  alice.bound.run_completed = r.completed;
+  // Principal safety: Bob's tickets leave only against coins, Carol's
+  // coins only against tickets.
+  bob.bound.principal_safe = principal_safe(r.bob, "ticket", "coin");
+  carol.bound.principal_safe = principal_safe(r.carol, "coin", "ticket");
   return {std::move(alice), std::move(bob), std::move(carol)};
 }
 
@@ -1174,6 +1203,7 @@ std::vector<PartyOutcome> BootstrapProtocol::outcomes(
   if (r.alice_lockup > 0) alice.bound.min_coin_delta = alice_floor;
   PartyOutcome bob{"bob", s.plans[1].conforms_within(cfg.delta), r.bob, {}};
   if (r.bob_lockup > 0) bob.bound.min_coin_delta = bob_floor;
+  fill_swap_properties(r.swapped, alice, bob);
   return {std::move(alice), std::move(bob)};
 }
 
@@ -1195,6 +1225,7 @@ std::vector<PartyOutcome> BridgeProtocol::outcomes(
     // bonds must cover the eager-reward outlay plus the premium floor.
     user.bound.min_coin_delta = cfg.premium_unit;
   }
+  user.bound.run_completed = r.transfer_completed;
   out.push_back(std::move(user));
   for (PartyId w = 1; w <= static_cast<PartyId>(cfg.n_witnesses); ++w) {
     const std::size_t i = static_cast<std::size_t>(w);

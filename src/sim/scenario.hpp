@@ -33,7 +33,9 @@
 // one reusable traceless world — sim/tree.hpp's replay(), the same
 // routine the core::run_* functions run on a fresh traced world), and
 // feeds each final state to payoff_audit, which flags any schedule where a
-// conforming party loses more than its earned premiums.
+// conforming party loses more than its earned premiums — and, without an
+// active chain environment, where an all-conforming run fails to complete
+// or a conforming party's principal leaves without the counter-asset.
 //
 // Serial sweeps default to the prefix-sharing *schedule-tree executor*
 // instead of replaying every schedule from tick 0. It drives the
@@ -376,10 +378,10 @@ std::unique_ptr<typename Protocol::World> make_world(
 /// contract), written once. `Protocol` is a small copyable description —
 /// the config `cfg`, the World type, name(), party_count(),
 /// action_count(p), and outcomes(result, schedule), the mapping from the
-/// world's result to audited per-party outcomes and their hedge floors —
-/// plus optional hooks: plan_space / plan_label (variant-tagged parties),
-/// tree_capable() and bindable() (default true when the world supports
-/// it), and make_world(trace).
+/// world's result to audited per-party outcomes, their hedge floors and
+/// run properties — plus optional hooks: plan_space / plan_label
+/// (variant-tagged parties), tree_capable() and bindable() (default true
+/// when the world supports it), and make_world(trace).
 ///
 /// The adapter owns ONE private traceless world, built on first use with
 /// the adapter's environment installed, and reuses it for every schedule:

@@ -7,13 +7,23 @@
 
 #include <set>
 #include <string>
+#include <vector>
 
 #include "sim/deviation.hpp"
-#include "sim/plan_space.hpp"
 #include "sim/strategy_space.hpp"
 
 namespace xchain::sim {
 namespace {
+
+/// The historical halt-only list for a role with `actions` ordinals:
+/// conform, then halt@0 .. halt@(actions-1).
+std::vector<DeviationPlan> legacy_halts(int actions) {
+  std::vector<DeviationPlan> plans{DeviationPlan::conforming()};
+  for (int k = 0; k < actions; ++k) {
+    plans.push_back(DeviationPlan::halt_after(k));
+  }
+  return plans;
+}
 
 // ---------------------------------------------------------------------------
 // Plan semantics
@@ -93,11 +103,11 @@ TEST(DeviationPlan, MixedPlanRendersEveryModification) {
 }
 
 // ---------------------------------------------------------------------------
-// The legacy halt-only space is unchanged (model checker + sweeps share it)
+// The default (halt-only) space keeps the historical order
 // ---------------------------------------------------------------------------
 
 TEST(PlanSpace, HaltOnlyListMatchesTheHistoricalOrder) {
-  const auto plans = plan_space(3);
+  const auto plans = party_plan_space(3, 2, StrategySpace{}).plans;
   ASSERT_EQ(plans.size(), 4u);
   EXPECT_EQ(plans[0], DeviationPlan::conforming());
   EXPECT_EQ(plans[1], DeviationPlan::halt_after(0));
@@ -137,7 +147,7 @@ TEST(StrategySpaceTest, HaltOnlyPartySpaceIsTheLegacyList) {
       party_plan_space(3, 2, StrategySpace{StrategySpace::Kind::kHaltOnly});
   EXPECT_EQ(space.full_size, 4u);
   EXPECT_FALSE(space.truncated());
-  EXPECT_EQ(space.plans, plan_space(3));
+  EXPECT_EQ(space.plans, legacy_halts(3));
 }
 
 TEST(StrategySpaceTest, LateSpaceIsTheFullPerOrdinalCrossProduct) {
@@ -150,7 +160,7 @@ TEST(StrategySpaceTest, LateSpaceIsTheFullPerOrdinalCrossProduct) {
 
   // The halt-only list leads (so truncation keeps it), and no plan repeats.
   for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(space.plans[i], plan_space(3)[i]) << i;
+    EXPECT_EQ(space.plans[i], legacy_halts(3)[i]) << i;
   }
   std::set<std::string> labels;
   for (const DeviationPlan& p : space.plans) labels.insert(p.str());
@@ -171,7 +181,7 @@ TEST(StrategySpaceTest, CapTruncatesLoudly) {
 TEST(StrategySpaceTest, TimelyAtDeltaOneDegradesToHaltOnly) {
   const PartyPlanSpace space = party_plan_space(
       4, 1, StrategySpace{StrategySpace::Kind::kTimelyDelays});
-  EXPECT_EQ(space.plans, plan_space(4));
+  EXPECT_EQ(space.plans, legacy_halts(4));
   EXPECT_FALSE(space.truncated());
 }
 

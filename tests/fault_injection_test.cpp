@@ -429,6 +429,34 @@ TEST(FaultSweep, WithinEnvelopeOutageIsHarmlessEvenForNaiveParties) {
   }
 }
 
+TEST(FaultSweep, RunPropertiesStayOutOfFaultSweeps) {
+  // The benchmark's squeeze: one transaction per block on every chain for
+  // the whole run. The all-conforming broker deal cannot finish under it
+  // and breaches the floors, which the faultless twin pins on the fault.
+  // Liveness is a promise of the synchronous model only, so the stalled
+  // run adds no liveness entry, and the attribution stays as it was.
+  const auto adapter = make_ref("broker");
+  adapter->set_environment({FaultPlan::parse("*:squeeze@0-1000,cap=1"),
+                            ResiliencePolicy::parse("fee-escalate")});
+  sim::Schedule all_conforming;
+  all_conforming.plans.assign(3, sim::DeviationPlan::conforming());
+  EXPECT_FALSE(adapter->run(all_conforming).front().bound.run_completed)
+      << "the squeeze must stall the deal for this pin to mean anything";
+
+  sim::SweepOptions opts;
+  opts.max_deviators = 0;
+  const sim::SweepReport report = sim::ScenarioRunner(*adapter).sweep(opts);
+  EXPECT_EQ(report.schedules_run, 1u);
+  ASSERT_EQ(report.violations.size(), 2u) << report.str();
+  EXPECT_EQ(report.violations[0].party, "bob");
+  EXPECT_EQ(report.violations[1].party, "carol");
+  for (const sim::Violation& v : report.violations) {
+    EXPECT_EQ(v.detail, "lost more than earned premiums") << v.str();
+    EXPECT_TRUE(v.fault_caused) << v.str();
+  }
+  EXPECT_EQ(report.fault_caused, 2u);
+}
+
 TEST(FaultSweep, InactiveEnvironmentIsByteIdenticalToHistoricalSweep) {
   const auto plain = make_ref("two-party");
   const sim::SweepReport before = sim::ScenarioRunner(*plain).sweep();

@@ -3,7 +3,9 @@
 // violation for violation — to the serial sweep's. These tests pin that
 // equivalence on every reference protocol adapter and on a synthetic
 // adapter engineered to emit a violation per deviating schedule, so the
-// violation *ordering* is checked, not just the counts.
+// violation *ordering* is checked, not just the counts. Planted liveness
+// and principal-safety faults pin the run-property audit the same way,
+// across the serial, sharded and tree executors.
 
 #include <gtest/gtest.h>
 
@@ -49,6 +51,7 @@ void expect_identical(const SweepReport& serial, const SweepReport& parallel) {
               serial.violations[i].coin_delta);
     EXPECT_EQ(parallel.violations[i].required_min,
               serial.violations[i].required_min);
+    EXPECT_EQ(parallel.violations[i].detail, serial.violations[i].detail);
   }
 }
 
@@ -194,6 +197,105 @@ TEST(ParallelSweep, ViolationOrderingMatchesSerialExactly) {
     SCOPED_TRACE(threads);
     expect_identical(serial, parallel);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Planted run-property faults: a real engine whose outcomes are corrupted
+// after the fact. The run-property audit must report each plant exactly
+// once, and every executor must report it identically.
+// ---------------------------------------------------------------------------
+
+enum class Plant {
+  kStall,  ///< no run ever completes, the all-conforming one included
+  kTheft,  ///< Bob's tickets count as taken on every completed deal
+};
+
+/// Wraps a tree-capable registry adapter and plants `Plant` into its
+/// outcomes. Both plants read only path-determined outcome fields, so the
+/// tree executor's memoized leaves stay exact.
+class PlantedAdapter final : public ProtocolAdapter {
+ public:
+  PlantedAdapter(std::unique_ptr<ProtocolAdapter> inner, Plant plant)
+      : inner_(std::move(inner)), plant_(plant) {}
+
+  std::string name() const override { return inner_->name(); }
+  std::size_t party_count() const override { return inner_->party_count(); }
+  int action_count(PartyId p) const override {
+    return inner_->action_count(p);
+  }
+  Tick delta() const override { return inner_->delta(); }
+  std::unique_ptr<ProtocolAdapter> clone() const override {
+    return std::make_unique<PlantedAdapter>(inner_->clone(), plant_);
+  }
+  std::vector<PartyOutcome> run(const Schedule& s) const override {
+    return planted(inner_->run(s));
+  }
+  TreeFrame* tree_frame() const override { return inner_->tree_frame(); }
+  void tree_set_plans(const Schedule& s) const override {
+    inner_->tree_set_plans(s);
+  }
+  std::vector<PartyOutcome> tree_collect(const Schedule& s) const override {
+    return planted(inner_->tree_collect(s));
+  }
+
+ private:
+  std::vector<PartyOutcome> planted(std::vector<PartyOutcome> out) const {
+    if (plant_ == Plant::kStall) {
+      out[0].bound.run_completed = false;
+    } else if (out[0].bound.run_completed) {
+      out[1].bound.principal_safe = false;
+    }
+    return out;
+  }
+
+  std::unique_ptr<ProtocolAdapter> inner_;
+  Plant plant_;
+};
+
+/// Sweeps the planted broker serially (brute), sharded over four workers
+/// and on the tree executor; returns the serial report after pinning the
+/// other two identical to it.
+SweepReport sweep_everywhere(const ProtocolAdapter& adapter) {
+  ScenarioRunner runner(adapter);
+  SweepOptions brute;
+  brute.executor = SweepExecutor::kBrute;
+  const SweepReport serial = runner.sweep(brute);
+
+  SweepOptions sharded = brute;
+  sharded.threads = 4;
+  const SweepReport parallel = runner.sweep(sharded);
+  EXPECT_EQ(parallel.workers, 4u);
+  expect_identical(serial, parallel);
+
+  SweepOptions tree;
+  tree.executor = SweepExecutor::kTree;
+  const SweepReport memoized = runner.sweep(tree);
+  EXPECT_GT(memoized.dedup_hits, 0u);
+  expect_identical(serial, memoized);
+  return serial;
+}
+
+TEST(RunProperties, PlantedStallGivesExactlyOneLivenessViolation) {
+  const PlantedAdapter adapter(ProtocolRegistry::global().make("broker"),
+                               Plant::kStall);
+  const SweepReport report = sweep_everywhere(adapter);
+  EXPECT_EQ(report.schedules_run, 125u);
+  ASSERT_EQ(report.violations.size(), 1u) << report.str();
+  const Violation& v = report.violations.front();
+  EXPECT_EQ(v.schedule, "hedged-broker[conform,conform,conform]");
+  EXPECT_EQ(v.party, "<all>");
+  EXPECT_EQ(v.detail, "every party conformed but the run did not complete");
+}
+
+TEST(RunProperties, PlantedTheftGivesExactlyOneSafetyViolation) {
+  const PlantedAdapter adapter(ProtocolRegistry::global().make("broker"),
+                               Plant::kTheft);
+  const SweepReport report = sweep_everywhere(adapter);
+  ASSERT_EQ(report.violations.size(), 1u) << report.str();
+  const Violation& v = report.violations.front();
+  EXPECT_EQ(v.schedule, "hedged-broker[conform,conform,conform]");
+  EXPECT_EQ(v.party, "bob");
+  EXPECT_EQ(v.detail, "escrowed principal left without the counter-asset");
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 
 #include "core/multi_party.hpp"
 #include "crypto/rng.hpp"
@@ -128,8 +129,13 @@ std::vector<RandomCase> random_cases() {
 INSTANTIATE_TEST_SUITE_P(Topologies, RandomGraphSweep,
                          ::testing::ValuesIn(random_cases()),
                          [](const auto& info) {
-                           return "n" + std::to_string(info.param.n) +
-                                  "_seed" + std::to_string(info.param.seed);
+                           // Append-only: an operator+ chain here trips
+                           // GCC 12's -Wrestrict false positive (PR 105651).
+                           std::string name = "n";
+                           name += std::to_string(info.param.n);
+                           name += "_seed";
+                           name += std::to_string(info.param.seed);
+                           return name;
                          });
 
 }  // namespace

@@ -176,6 +176,36 @@ TEST(Registry, OutOfBoundsParamsAreRejectedNotUB) {
                ParamError);
 }
 
+// An auction no bid can win is a configuration error, not a liveness
+// failure: with every reveal above the sealed collateral, or every bid
+// zero, a conforming run has no winner and refunds everyone.
+TEST(Registry, AuctionsNoBidCanWinAreRejected) {
+  const ProtocolRegistry& reg = ProtocolRegistry::global();
+  ParamSet sealed = reg.defaults("auction-sealed");
+  sealed.set("collateral", "50");  // below both default bids
+  EXPECT_THROW(reg.make("auction-sealed", sealed), ParamError);
+  sealed.set("collateral", "99");  // below the top bid only
+  EXPECT_THROW(reg.make("auction-sealed", sealed), ParamError);
+  ParamSet open = reg.defaults("auction-open");
+  open.set("bids", "0,0");
+  EXPECT_THROW(reg.make("auction-open", open), ParamError);
+  open.set("collateral", "50");  // the open auction takes no collateral
+  open.set("bids", "100,80");
+  EXPECT_NO_THROW(reg.make("auction-open", open));
+
+  // The edges that stay valid pass the full audit, run properties too.
+  sealed.set("collateral", "100");
+  sealed.set("bids", "100,0");
+  open.set("bids", "0,80");
+  for (const auto& [name, params] :
+       {std::pair{"auction-sealed", sealed}, std::pair{"auction-open", open}}) {
+    const auto adapter = reg.make(name, params);
+    const SweepReport r = ScenarioRunner(*adapter).sweep(SweepOptions{});
+    EXPECT_GT(r.schedules_run, 0u) << name;
+    EXPECT_TRUE(r.violations.empty()) << name << ": " << r.str();
+  }
+}
+
 // Registry defaults must stay byte-identical to the historical hard-coded
 // reference structs (the numbers the whole PR-1..3 test/bench corpus was
 // pinned on). reference_configs.hpp is now a shim over these defaults, so

@@ -3,10 +3,14 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
+#include "core/auction.hpp"
+#include "core/bootstrap.hpp"
+#include "core/broker.hpp"
+#include "core/multi_party.hpp"
 #include "core/two_party.hpp"
 #include "graph/digraph.hpp"
-#include "sim/plan_space.hpp"
 #include "sim/reference_configs.hpp"
 #include "sim/registry.hpp"
 #include "sim/scenario.hpp"
@@ -175,27 +179,141 @@ TEST(ScenarioSweep, UnhedgedBrokerViolatesTheHedgedFloor) {
       << "premium-free broker lock-ups should breach the hedged floor";
 }
 
-TEST(ScenarioSweep, UnhedgedBaseSwapViolatesTheLadderFloor) {
-  // The ladder protocols' baseline is §5.1's premium-free atomic swap:
-  // audited against the hedged expectation (any locked-and-refunded
-  // principal earns at least one premium), it must produce violations —
-  // that sore-loser exposure is what §6's ladder exists to hedge.
-  const core::TwoPartyConfig cfg = reference_two_party_config();
-  std::vector<Violation> violations;
-  for (const DeviationPlan& pa : plan_space(core::kBaseTwoPartyActions)) {
-    for (const DeviationPlan& pb : plan_space(core::kBaseTwoPartyActions)) {
+// Every halt-only plan pair of §5.1's premium-free base swap, audited
+// against the hedged expectation (any locked-and-refunded principal earns at
+// least one premium) and against the run properties.
+struct BaseSwapAudit {
+  std::vector<Violation> floor;
+  std::vector<Violation> run_properties;
+};
+
+BaseSwapAudit audit_base_two_party(const core::TwoPartyConfig& cfg) {
+  const std::vector<DeviationPlan> space =
+      party_plan_space(core::kBaseTwoPartyActions, cfg.delta, StrategySpace{})
+          .plans;
+  BaseSwapAudit audit;
+  for (const DeviationPlan& pa : space) {
+    for (const DeviationPlan& pb : space) {
       const auto r = core::run_base_two_party(cfg, pa, pb);
-      std::vector<PartyOutcome> outcomes;
-      outcomes.push_back({"alice", pa.is_conforming(), r.alice, {}});
-      if (r.alice_lockup > 0) outcomes.back().bound.min_coin_delta = 1;
-      outcomes.push_back({"bob", pb.is_conforming(), r.bob, {}});
-      if (r.bob_lockup > 0) outcomes.back().bound.min_coin_delta = 1;
-      audit_schedule("base-two-party[" + pa.str() + "," + pb.str() + "]",
-                     outcomes, violations);
+      PartyOutcome alice{"alice", pa.is_conforming(), r.alice, {}};
+      if (r.alice_lockup > 0) alice.bound.min_coin_delta = 1;
+      alice.bound.run_completed = r.swapped;
+      alice.bound.principal_safe = principal_safe(r.alice, "apricot", "banana");
+      PartyOutcome bob{"bob", pb.is_conforming(), r.bob, {}};
+      if (r.bob_lockup > 0) bob.bound.min_coin_delta = 1;
+      bob.bound.principal_safe = principal_safe(r.bob, "banana", "apricot");
+      const std::vector<PartyOutcome> outcomes{alice, bob};
+      std::string label = "base-two-party[";
+      label += pa.str();
+      label += ',';
+      label += pb.str();
+      label += ']';
+      audit_schedule(label, outcomes, audit.floor);
+      audit_run_properties(label, outcomes, audit.run_properties);
     }
   }
-  EXPECT_FALSE(violations.empty())
+  return audit;
+}
+
+TEST(ScenarioSweep, UnhedgedBaseSwapViolatesTheLadderFloor) {
+  // The ladder protocols' baseline is §5.1's premium-free atomic swap: it
+  // must produce floor violations — that sore-loser exposure is what §6's
+  // ladder exists to hedge. And it must fail only there: the base swap is
+  // live and principal-safe, so a liveness or safety entry would mean the
+  // engine itself is broken.
+  const BaseSwapAudit audit =
+      audit_base_two_party(reference_two_party_config());
+  EXPECT_FALSE(audit.floor.empty())
       << "the unhedged base swap should breach the premium floor somewhere";
+  EXPECT_TRUE(audit.run_properties.empty())
+      << audit.run_properties.front().str();
+}
+
+// ---------------------------------------------------------------------------
+// §10's model check: every halt-only plan combination of the hedged
+// protocols, at the configurations the paper-era explorer checked, sweeps
+// clean — payoff floors, zero-sum premiums, liveness and principal safety —
+// while the unhedged base swap breaks the payoff floor and nothing else.
+// ---------------------------------------------------------------------------
+
+TEST(ModelChecker, BaseTwoPartyExposesSoreLoser) {
+  // The negative control: the §5.1 base protocol must FAIL the hedged
+  // property (that is the paper's motivating flaw), and fail it only
+  // there — liveness or safety violations would mean our base protocol is
+  // broken.
+  core::TwoPartyConfig cfg;
+  cfg.delta = 2;
+  const BaseSwapAudit audit = audit_base_two_party(cfg);
+  EXPECT_FALSE(audit.floor.empty());
+  EXPECT_TRUE(audit.run_properties.empty())
+      << audit.run_properties.front().str();
+}
+
+TEST(ModelChecker, HedgedTwoPartyHasNoViolations) {
+  core::TwoPartyConfig cfg;
+  cfg.delta = 2;
+  const TwoPartySwapAdapter adapter(cfg);
+  const SweepReport report = ScenarioRunner(adapter).sweep();
+  EXPECT_EQ(report.schedules_run, 16u);  // (conform + halt@0..2)^2
+  EXPECT_TRUE(report.ok()) << report.str();
+}
+
+TEST(ModelChecker, BootstrapTwoRoundsClean) {
+  core::BootstrapConfig cfg;
+  cfg.rounds = 2;
+  cfg.delta = 1;
+  const BootstrapSwapAdapter adapter(cfg);
+  const SweepReport report = ScenarioRunner(adapter).sweep();
+  EXPECT_EQ(report.schedules_run, 25u);  // (conform + halt@0..3)^2
+  EXPECT_TRUE(report.ok()) << report.str();
+}
+
+TEST(ModelChecker, MultiPartyTwoVerticesClean) {
+  core::MultiPartyConfig cfg;
+  cfg.g = graph::Digraph::two_party();
+  cfg.delta = 1;
+  const MultiPartySwapAdapter adapter(cfg);
+  const SweepReport report = ScenarioRunner(adapter).sweep();
+  EXPECT_EQ(report.schedules_run, 25u);
+  EXPECT_TRUE(report.ok()) << report.str();
+}
+
+TEST(ModelChecker, MultiPartyFigure3aClean) {
+  // 5^3 = 125 combinations, including multi-deviator ones.
+  core::MultiPartyConfig cfg;
+  cfg.g = graph::Digraph::figure3a();
+  cfg.delta = 1;
+  const MultiPartySwapAdapter adapter(cfg);
+  const SweepReport report = ScenarioRunner(adapter).sweep();
+  EXPECT_EQ(report.schedules_run, 125u);
+  EXPECT_TRUE(report.ok()) << report.str();
+}
+
+TEST(ModelChecker, BrokerClean) {
+  core::BrokerConfig cfg;
+  cfg.delta = 1;
+  const BrokerDealAdapter adapter(cfg);
+  const SweepReport report = ScenarioRunner(adapter).sweep();
+  EXPECT_EQ(report.schedules_run, 125u);
+  EXPECT_TRUE(report.ok()) << report.str();
+}
+
+TEST(ModelChecker, AuctionClean) {
+  core::AuctionConfig cfg;
+  cfg.delta = 1;
+  const TicketAuctionAdapter adapter(cfg, /*sealed=*/false);
+  const SweepReport report = ScenarioRunner(adapter).sweep();
+  EXPECT_EQ(report.schedules_run, 63u);  // 7 auctioneer plans * 3^2
+  EXPECT_TRUE(report.ok()) << report.str();
+}
+
+TEST(ModelChecker, SummaryMentionsCounts) {
+  core::TwoPartyConfig cfg;
+  cfg.delta = 1;
+  const TwoPartySwapAdapter adapter(cfg);
+  const SweepReport report = ScenarioRunner(adapter).sweep();
+  EXPECT_NE(report.line().find("16 schedules"), std::string::npos)
+      << report.line();
 }
 
 // ---------------------------------------------------------------------------
@@ -288,6 +406,67 @@ TEST(PayoffAudit, DeviatorsAreNotAudited) {
                                       /*check_conservation=*/false);
   EXPECT_EQ(audited, 0u);
   EXPECT_TRUE(violations.empty());
+}
+
+TEST(PayoffAudit, RunPropertiesFlagAStalledAllConformingRun) {
+  PartyOutcome a{"a", true, {}, {}};
+  PartyOutcome b{"b", true, {}, {}};
+  a.bound.run_completed = false;  // run-wide: read from the first outcome
+
+  std::vector<Violation> violations;
+  audit_run_properties("test", {a, b}, violations);
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_EQ(violations[0].party, "<all>");
+
+  // A deviator anywhere excuses the stall: liveness is promised only to
+  // runs where everyone conforms.
+  b.conforming = false;
+  violations.clear();
+  audit_run_properties("test", {a, b}, violations);
+  EXPECT_TRUE(violations.empty());
+}
+
+TEST(PayoffAudit, RunPropertiesFlagAConformingPrincipalLoss) {
+  PartyOutcome victim{"victim", true, {}, {}};
+  victim.bound.principal_safe = false;
+  PartyOutcome deviator{"deviator", false, {}, {}};
+  deviator.bound.principal_safe = false;  // a deviator is owed nothing
+
+  std::vector<Violation> violations;
+  audit_run_properties("test", {victim, deviator}, violations);
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_EQ(violations[0].party, "victim");
+}
+
+TEST(PayoffAudit, PrincipalSafeReadsTheEscrowedAndCounterAssets) {
+  core::PayoffDelta payoff;
+  EXPECT_TRUE(principal_safe(payoff, "apricot", "banana"))
+      << "a principal that never moved is safe";
+  payoff.by_symbol["apricot"] = -100;
+  EXPECT_FALSE(principal_safe(payoff, "apricot", "banana"));
+  payoff.by_symbol["banana"] = 50;
+  EXPECT_TRUE(principal_safe(payoff, "apricot", "banana"));
+}
+
+TEST(PayoffAudit, TwoPartyOutcomesCarryTheRunProperties) {
+  // The outcome mapping fills the bits from the engine's result: a run
+  // that swapped is complete, and Alice's apricot leaving without banana
+  // arriving is a theft.
+  const TwoPartyProtocol protocol{core::TwoPartyConfig{}};
+  core::TwoPartyResult r;
+  r.alice.by_symbol["apricot"] = -100;
+  Schedule s;
+  s.plans.assign(2, DeviationPlan::conforming());
+  auto outcomes = protocol.outcomes(r, s);
+  EXPECT_FALSE(outcomes[0].bound.run_completed);
+  EXPECT_FALSE(outcomes[0].bound.principal_safe);
+  EXPECT_TRUE(outcomes[1].bound.principal_safe);
+
+  r.swapped = true;
+  r.alice.by_symbol["banana"] = 50;
+  outcomes = protocol.outcomes(r, s);
+  EXPECT_TRUE(outcomes[0].bound.run_completed);
+  EXPECT_TRUE(outcomes[0].bound.principal_safe);
 }
 
 TEST(PayoffAudit, ConservationCheckCatchesStrandedCoins) {

@@ -34,7 +34,7 @@
 #include <thread>
 #include <vector>
 
-#include "flag_int.hpp"
+#include "common/strict_int.hpp"
 #include "load/load_gen.hpp"
 
 #ifndef XCHAIN_GIT_COMMIT
@@ -50,7 +50,6 @@
 namespace {
 
 using namespace xchain;
-using tools::parse_long;
 
 void print_usage(std::FILE* to) {
   std::fprintf(

@@ -39,7 +39,7 @@
 #include <string>
 #include <vector>
 
-#include "flag_int.hpp"
+#include "common/strict_int.hpp"
 #include "fuzz/harness.hpp"
 #include "fuzz/selftest.hpp"
 #include "sim/registry.hpp"
@@ -57,8 +57,6 @@
 namespace {
 
 using namespace xchain;
-using tools::parse_long;
-using tools::parse_seed;
 
 void print_usage(std::FILE* to) {
   std::fprintf(

@@ -30,7 +30,7 @@
 #include <string>
 
 #include "chain/fault.hpp"
-#include "flag_int.hpp"
+#include "common/strict_int.hpp"
 #include "sim/campaign.hpp"
 #include "sim/param.hpp"
 #include "sim/registry.hpp"
@@ -50,7 +50,6 @@
 namespace {
 
 using namespace xchain;
-using tools::parse_long;
 
 void print_usage(std::FILE* to) {
   std::fprintf(
