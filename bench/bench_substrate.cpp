@@ -5,6 +5,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "chain/blockchain.hpp"
 #include "crypto/hashkey.hpp"
 #include "crypto/schnorr.hpp"
@@ -23,8 +25,23 @@ void BM_Sha256(benchmark::State& state) {
     benchmark::DoNotOptimize(d);
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
+  // The compression function this CPU dispatched to ("sha-ni" or
+  // "portable"), so a host without SHA-NI explains its slower numbers.
+  state.SetLabel(std::string(crypto::sha256_kernel()));
 }
 BENCHMARK(BM_Sha256)->Arg(32)->Arg(1024)->Arg(65536);
+
+// One exponentiation in the Schnorr group, the unit keygen, sign (one) and
+// verify (two) are built from; the exponent varies so no input repeats.
+void BM_Powmod(benchmark::State& state) {
+  const crypto::GroupParams& gp = crypto::group();
+  std::uint64_t x = 0x9e3779b97f4a7c15ull % gp.q;
+  for (auto _ : state) {
+    x = crypto::powmod(gp.g, x, gp.p) % gp.q;
+    benchmark::DoNotOptimize(x);
+  }
+}
+BENCHMARK(BM_Powmod);
 
 void BM_SchnorrSign(benchmark::State& state) {
   const auto kp = crypto::keygen("bench");

@@ -13,6 +13,8 @@
 #     wall-time/stamp fields (the load loop's determinism contract), and
 #     the --threads=4 run's --scaling=1,2 points pass the CLI's own
 #     whole-report determinism check;
+#   * the artifact names the SHA-256 kernel the CPU dispatched to
+#     ("sha-ni" or "portable"), a host stamp kept out of the comparison;
 #   * every run, scaling points included, reports phase_seconds (the tick
 #     loop's wall time by phase) and pool_ticks (ticks whose actor phase
 #     ran on the worker pool), both kept out of the determinism comparison;
@@ -43,13 +45,16 @@ if command -v python3 >/dev/null 2>&1; then
 import json, sys
 WALL = {"threads", "wall_seconds", "instances_per_second", "txs_per_second",
         "phase_seconds", "pool_ticks", "latency_wall_seconds", "scaling",
-        "git_commit", "build_type", "compiler", "hardware_threads"}
+        "git_commit", "build_type", "compiler", "hardware_threads",
+        "sha256_kernel"}
 PHASES = {"bind", "actor", "drain", "produce", "audit", "attribution"}
 docs = []
 for path in sys.argv[1:3]:
     with open(path) as f:
         doc = json.load(f)
     assert doc["benchmark"] == "load", doc["benchmark"]
+    assert doc["sha256_kernel"] in ("sha-ni", "portable"), \
+        doc.get("sha256_kernel")
     assert doc["instances"] == 200, doc["instances"]
     assert doc["unattributed"] == 0, doc["unattributed"]
     assert {"p50", "p95", "p99", "max", "mean"} <= \
@@ -71,6 +76,7 @@ else
   grep -q '"benchmark": "load"' "$work/t1.json" || fail "JSON lacks benchmark"
   grep -q '"instances": 200' "$work/t1.json" || fail "JSON lacks instances"
   grep -q '"unattributed": 0' "$work/t1.json" || fail "unattributed != 0"
+  grep -q '"sha256_kernel": "' "$work/t1.json" || fail "JSON lacks sha256_kernel"
   # Determinism: the tick-latency line must agree across thread counts.
   t1_lat="$(grep '"latency_ticks"' "$work/t1.json" | head -1)"
   t4_lat="$(grep '"latency_ticks"' "$work/t4.json" | head -1)"

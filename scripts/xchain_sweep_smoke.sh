@@ -16,7 +16,8 @@
 #   * malformed flag integers (whitespace, '+', junk) exit 2, while the
 #     documented --max-deviators=-1 is accepted; --set integer values
 #     (delta=+3, 'delta= 3', bids=+100,80) fail the same way, as do
-#     auctions no bid can win (bids=0,0; sealed collateral=50).
+#     auctions no bid can win (bids=0,0; sealed collateral=50), a
+#     bootstrap factor=1 and a crr-ladder volatility=0.
 set -euo pipefail
 
 bin="$1"
@@ -108,11 +109,13 @@ for bad in '--max-deviators=+1' '--max-deviators= 1' '--max-deviators=-' \
   [[ $rc -eq 2 ]] || fail "'$bad' should exit 2 (got $rc)"
 done
 # Parameter values share the flags' integer grammar, and an auction no
-# bid can win (all bids zero, sealed collateral below the top bid) is a
-# configuration error too.
+# bid can win (all bids zero, sealed collateral below the top bid), a
+# bootstrap premium factor that never shrinks, or a zero-volatility CRR
+# lattice is a configuration error too.
 for bad in 'two-party delta=+3' 'two-party delta= 3' \
            'auction-open bids=+100,80' 'auction-open bids=0,0' \
-           'auction-sealed collateral=50'; do
+           'auction-sealed collateral=50' 'bootstrap factor=1' \
+           'crr-ladder volatility=0'; do
   "$bin" --protocol="${bad%% *}" --set "${bad#* }" --dry-run \
     >/dev/null 2>&1; rc=$?
   [[ $rc -eq 2 ]] || fail "--set '${bad#* }' should exit 2 (got $rc)"

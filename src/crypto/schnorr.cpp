@@ -14,15 +14,66 @@ std::uint64_t mulmod(std::uint64_t a, std::uint64_t b, std::uint64_t m) {
       (static_cast<unsigned __int128>(a) * b) % m);
 }
 
+namespace {
+
+/// Montgomery arithmetic modulo an odd m < 2^63 with R = 2^64: values are
+/// kept as aR mod m, and a product costs two 64x64 multiplies and a shift
+/// (REDC) instead of a 128-bit division. m < 2^63 keeps T + u*m below
+/// 2^128 in reduce().
+class Montgomery {
+ public:
+  explicit Montgomery(std::uint64_t m) : m_(m) {
+    // Newton's iteration for m^-1 mod 2^64: m is its own inverse mod 2^3,
+    // and each step doubles the correct low bits (3 -> 96).
+    std::uint64_t inv = m;
+    for (int i = 0; i < 5; ++i) inv *= 2 - m * inv;
+    neg_inv_ = 0 - inv;
+  }
+
+  std::uint64_t to(std::uint64_t a) const {
+    return static_cast<std::uint64_t>(
+        (static_cast<unsigned __int128>(a) << 64) % m_);
+  }
+  std::uint64_t from(std::uint64_t a) const { return reduce(a); }
+  std::uint64_t mul(std::uint64_t a, std::uint64_t b) const {
+    return reduce(static_cast<unsigned __int128>(a) * b);
+  }
+
+ private:
+  /// T * R^-1 mod m, for T < m * R.
+  std::uint64_t reduce(unsigned __int128 t) const {
+    const std::uint64_t u = static_cast<std::uint64_t>(t) * neg_inv_;
+    const std::uint64_t r = static_cast<std::uint64_t>(
+        (t + static_cast<unsigned __int128>(u) * m_) >> 64);
+    return r >= m_ ? r - m_ : r;
+  }
+
+  std::uint64_t m_;
+  std::uint64_t neg_inv_;  // -m^-1 mod 2^64
+};
+
+}  // namespace
+
 std::uint64_t powmod(std::uint64_t base, std::uint64_t exp, std::uint64_t m) {
-  std::uint64_t result = 1 % m;
-  base %= m;
+  if ((m & 1) == 0 || m >= (1ull << 63)) {
+    std::uint64_t result = 1 % m;
+    base %= m;
+    while (exp > 0) {
+      if (exp & 1) result = mulmod(result, base, m);
+      base = mulmod(base, base, m);
+      exp >>= 1;
+    }
+    return result;
+  }
+  const Montgomery mont(m);
+  std::uint64_t result = mont.to(1);
+  base = mont.to(base);
   while (exp > 0) {
-    if (exp & 1) result = mulmod(result, base, m);
-    base = mulmod(base, base, m);
+    if (exp & 1) result = mont.mul(result, base);
+    base = mont.mul(base, base);
     exp >>= 1;
   }
-  return result;
+  return mont.from(result);
 }
 
 bool is_prime_u64(std::uint64_t n) {
@@ -129,27 +180,45 @@ const KeyPair& keygen_cached(std::string_view seed) {
   return cache.emplace(std::string(seed), keygen(seed)).first->second;
 }
 
+namespace {
+
+/// Big-endian encoding of `v` into out[0..8), as append_u64 writes it.
+void put_u64(std::uint8_t* out, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    out[i] = static_cast<std::uint8_t>(v >> (56 - 8 * i));
+  }
+}
+
+/// The Fiat-Shamir challenge H("xchain-challenge/" || r || y || message),
+/// reduced mod q.
+std::uint64_t challenge(std::uint64_t r, const PublicKey& pub,
+                        const Bytes& message, std::uint64_t q) {
+  std::uint8_t ctx[16];
+  put_u64(ctx, r);
+  put_u64(ctx + 8, pub.y);
+  Sha256 eh;
+  eh.update("xchain-challenge/");
+  eh.update(ctx, sizeof(ctx));
+  eh.update(message);
+  return digest_to_scalar(eh.finish(), q);
+}
+
+}  // namespace
+
 Signature sign(const PrivateKey& key, const PublicKey& pub,
                const Bytes& message) {
   const GroupParams& gp = group();
   // Deterministic nonce derivation (RFC 6979 in spirit).
+  std::uint8_t key_bytes[8];
+  put_u64(key_bytes, key.x);
   Sha256 nh;
   nh.update("xchain-nonce/");
-  Bytes key_bytes;
-  append_u64(key_bytes, key.x);
-  nh.update(key_bytes);
+  nh.update(key_bytes, sizeof(key_bytes));
   nh.update(message);
   const std::uint64_t k = 1 + digest_to_scalar(nh.finish(), gp.q - 1);
   const std::uint64_t r = powmod(gp.g, k, gp.p);
 
-  Sha256 eh;
-  eh.update("xchain-challenge/");
-  Bytes ctx;
-  append_u64(ctx, r);
-  append_u64(ctx, pub.y);
-  eh.update(ctx);
-  eh.update(message);
-  const std::uint64_t e = digest_to_scalar(eh.finish(), gp.q);
+  const std::uint64_t e = challenge(r, pub, message, gp.q);
   const std::uint64_t s = (k + mulmod(e, key.x, gp.q)) % gp.q;
   return Signature{e, s};
 }
@@ -163,15 +232,7 @@ bool verify(const PublicKey& pub, const Bytes& message, const Signature& sig) {
   const std::uint64_t gs = powmod(gp.g, sig.s, gp.p);
   const std::uint64_t ye = powmod(pub.y, gp.q - sig.e, gp.p);
   const std::uint64_t r = mulmod(gs, ye, gp.p);
-
-  Sha256 eh;
-  eh.update("xchain-challenge/");
-  Bytes ctx;
-  append_u64(ctx, r);
-  append_u64(ctx, pub.y);
-  eh.update(ctx);
-  eh.update(message);
-  return digest_to_scalar(eh.finish(), gp.q) == sig.e;
+  return challenge(r, pub, message, gp.q) == sig.e;
 }
 
 }  // namespace xchain::crypto

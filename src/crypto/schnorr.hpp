@@ -29,7 +29,10 @@ const GroupParams& group();
 /// (a * b) mod m without overflow.
 std::uint64_t mulmod(std::uint64_t a, std::uint64_t b, std::uint64_t m);
 
-/// (base ^ exp) mod m.
+/// (base ^ exp) mod m. An odd m below 2^63 (which includes p and q of
+/// group(), so every keygen, sign and verify) runs in Montgomery form with
+/// R = 2^64; any other m takes the plain 128-bit square-and-multiply loop.
+/// Both give the exact residue.
 std::uint64_t powmod(std::uint64_t base, std::uint64_t exp, std::uint64_t m);
 
 /// Deterministic Miller–Rabin, exact for all 64-bit inputs.

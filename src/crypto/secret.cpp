@@ -1,5 +1,7 @@
 #include "crypto/secret.hpp"
 
+#include <utility>
+
 #include "crypto/sha256.hpp"
 
 namespace xchain::crypto {
@@ -12,7 +14,8 @@ Secret Secret::from_label(std::string_view label) {
   return Secret(Bytes(d.begin(), d.end()));
 }
 
-Digest Secret::hashlock() const { return sha256(value_); }
+Secret::Secret(Bytes value)
+    : value_(std::move(value)), hashlock_(sha256(value_)) {}
 
 bool opens(const Digest& hashlock, const Bytes& preimage) {
   return sha256(preimage) == hashlock;

@@ -9,8 +9,8 @@ namespace xchain::crypto {
 /// h = H(s); knowledge of s before the timelock expires redeems the escrow).
 class Secret {
  public:
-  Secret() = default;
-  explicit Secret(Bytes value) : value_(std::move(value)) {}
+  Secret() : Secret(Bytes{}) {}
+  explicit Secret(Bytes value);
 
   /// Samples a fresh 32-byte secret.
   static Secret random(Rng& rng) { return Secret(rng.next_bytes(32)); }
@@ -21,11 +21,12 @@ class Secret {
 
   const Bytes& value() const { return value_; }
 
-  /// The hashlock h = SHA-256(s).
-  Digest hashlock() const;
+  /// The hashlock h = SHA-256(s), computed once at construction.
+  Digest hashlock() const { return hashlock_; }
 
  private:
   Bytes value_;
+  Digest hashlock_{};
 };
 
 /// True iff `preimage` opens `hashlock`, i.e. SHA-256(preimage) == hashlock.

@@ -3,6 +3,13 @@
 #include <algorithm>
 #include <cstring>
 
+#include "crypto/sha256_kernels.hpp"
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
+
 namespace xchain::crypto {
 
 namespace {
@@ -34,9 +41,9 @@ inline std::uint32_t rotr(std::uint32_t x, unsigned n) {
 
 }  // namespace
 
-Sha256::Sha256() { std::memcpy(state_, kInit, sizeof(state_)); }
+namespace detail {
 
-void Sha256::process_block(const std::uint8_t* block) {
+void sha256_block_portable(std::uint32_t state[8], const std::uint8_t* block) {
   std::uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
@@ -52,8 +59,8 @@ void Sha256::process_block(const std::uint8_t* block) {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
 
   for (int i = 0; i < 64; ++i) {
     const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
@@ -72,14 +79,115 @@ void Sha256::process_block(const std::uint8_t* block) {
     a = t1 + t2;
   }
 
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+#if defined(__x86_64__)
+
+// The SHA-NI round instructions keep the state as two vectors, ABEF and
+// CDGH (highest lane first). sha256rnds2 does two rounds from the low two
+// lanes of W+K; each group of four rounds is two calls. sha256msg1/msg2
+// extend the message schedule four words at a time. The target attribute
+// lets this one function use the extensions without a -march flag; the
+// dispatcher only calls it after sha256_shani_supported().
+__attribute__((target("sha,sse4.1,ssse3"))) void sha256_block_shani(
+    std::uint32_t state[8], const std::uint8_t* block) {
+  // Byte swap within each 32-bit word (the message is big-endian).
+  const __m128i bswap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bll, 0x0405060700010203ll);
+
+  __m128i tmp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  __m128i cdgh = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  tmp = _mm_shuffle_epi32(tmp, 0xB1);          // CDAB
+  cdgh = _mm_shuffle_epi32(cdgh, 0x1B);        // EFGH
+  __m128i abef = _mm_alignr_epi8(tmp, cdgh, 8);  // ABEF
+  cdgh = _mm_blend_epi16(cdgh, tmp, 0xF0);     // CDGH
+  const __m128i abef_in = abef;
+  const __m128i cdgh_in = cdgh;
+
+  // msg[i % 4] holds W[4i .. 4i+3]; from group 4 on it is rebuilt from the
+  // four previous groups: W[t-16] + s0(W[t-15]) + W[t-7] + s1(W[t-2]).
+  __m128i msg[4];
+  for (int i = 0; i < 16; ++i) {
+    __m128i& w = msg[i % 4];
+    if (i < 4) {
+      w = _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 16 * i)),
+          bswap);
+    } else {
+      const __m128i& prev = msg[(i + 3) % 4];
+      w = _mm_sha256msg1_epu32(w, msg[(i + 1) % 4]);
+      w = _mm_add_epi32(w, _mm_alignr_epi8(prev, msg[(i + 2) % 4], 4));
+      w = _mm_sha256msg2_epu32(w, prev);
+    }
+    __m128i wk = _mm_add_epi32(
+        w, _mm_loadu_si128(reinterpret_cast<const __m128i*>(kRound + 4 * i)));
+    cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+    wk = _mm_shuffle_epi32(wk, 0x0E);
+    abef = _mm_sha256rnds2_epu32(abef, cdgh, wk);
+  }
+
+  abef = _mm_add_epi32(abef, abef_in);
+  cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  tmp = _mm_shuffle_epi32(abef, 0x1B);         // FEBA
+  cdgh = _mm_shuffle_epi32(cdgh, 0xB1);        // DCHG
+  abef = _mm_blend_epi16(tmp, cdgh, 0xF0);     // DCBA
+  cdgh = _mm_alignr_epi8(cdgh, tmp, 8);        // HGFE
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), abef);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), cdgh);
+}
+
+#endif
+
+bool sha256_shani_supported() {
+#if defined(__x86_64__)
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return false;
+  const bool sse41 = (ecx & (1u << 19)) != 0;
+  const bool ssse3 = (ecx & (1u << 9)) != 0;
+  if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) return false;
+  const bool sha = (ebx & (1u << 29)) != 0;
+  return sha && sse41 && ssse3;
+#else
+  return false;
+#endif
+}
+
+}  // namespace detail
+
+namespace {
+
+using BlockFn = void (*)(std::uint32_t*, const std::uint8_t*);
+
+// The CPU is checked once, on first use.
+BlockFn block_kernel() {
+  static const BlockFn fn = [] {
+#if defined(__x86_64__)
+    if (detail::sha256_shani_supported()) return &detail::sha256_block_shani;
+#endif
+    return &detail::sha256_block_portable;
+  }();
+  return fn;
+}
+
+}  // namespace
+
+std::string_view sha256_kernel() {
+  return block_kernel() == &detail::sha256_block_portable ? "portable"
+                                                          : "sha-ni";
+}
+
+Sha256::Sha256() { std::memcpy(state_, kInit, sizeof(state_)); }
+
+void Sha256::process_block(const std::uint8_t* block) {
+  block_kernel()(state_, block);
 }
 
 void Sha256::update(const std::uint8_t* data, std::size_t len) {

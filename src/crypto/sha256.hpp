@@ -16,6 +16,12 @@ namespace xchain::crypto {
 ///   Digest d = h.finish();
 ///
 /// `finish()` may be called once; the object is then exhausted.
+///
+/// Each 64-byte block goes to one of two compression functions, chosen
+/// once per process from the CPU: the SHA-NI kernel when cpuid reports the
+/// SHA extensions (leaf 7 EBX bit 29) plus SSE4.1 and SSSE3, otherwise (and
+/// on every non-x86-64 target) the portable C++ kernel. Both produce the
+/// same digests; nothing forces a choice.
 class Sha256 {
  public:
   Sha256();
@@ -45,5 +51,9 @@ Digest sha256(const Bytes& data);
 
 /// One-shot SHA-256 of a string.
 Digest sha256(std::string_view data);
+
+/// The compression function Sha256 uses on this CPU: "sha-ni" or
+/// "portable". Bench artifacts record it so a slower host explains itself.
+std::string_view sha256_kernel();
 
 }  // namespace xchain::crypto

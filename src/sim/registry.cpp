@@ -330,6 +330,13 @@ core::BootstrapConfig bootstrap_config_from(const ParamSet& p) {
   cfg.factor = p.get_double("factor");
   cfg.rounds = static_cast<int>(p.get_int("rounds"));
   cfg.delta = p.get_int("delta");
+  // The premium schedule divides by P each round and needs P > 1 to
+  // shrink; the schema's at_least(1) admits P = 1, which the engine
+  // rejects. A configuration error, reported as one.
+  if (cfg.factor <= 1.0) {
+    throw ParamError("param 'factor': " + p.value_str("factor") +
+                     " must exceed 1 (premium = value / P shrinks each round)");
+  }
   return cfg;
 }
 
@@ -368,6 +375,12 @@ core::BootstrapConfig crr_principals_from(const ParamSet& p) {
 CrrMarket crr_market_from(const ParamSet& p) {
   CrrMarket m;
   m.volatility = p.get_double("volatility");
+  // A zero-volatility lattice has no up or down move to price; the
+  // schema's at_least(0) admits it and the CRR engine rejects it.
+  if (m.volatility <= 0.0) {
+    throw ParamError("param 'volatility': " + p.value_str("volatility") +
+                     " must be positive (the CRR lattice needs sigma > 0)");
+  }
   m.rate = p.get_double("rate");
   m.ticks_per_year = p.get_double("ticks_per_year");
   return m;

@@ -1,14 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <string>
 #include <utility>
 
+#include "common/splitmix.hpp"
 #include "crypto/bytes.hpp"
 #include "crypto/hashkey.hpp"
 #include "crypto/rng.hpp"
 #include "crypto/schnorr.hpp"
 #include "crypto/secret.hpp"
 #include "crypto/sha256.hpp"
+#include "crypto/sha256_kernels.hpp"
 
 namespace xchain::crypto {
 namespace {
@@ -72,6 +76,68 @@ TEST(Sha256, PaddingBoundaryKnownAnswers) {
   for (const auto& [len, hex] : cases) {
     EXPECT_EQ(to_hex(sha256(std::string(len, 'a'))), hex) << "len=" << len;
   }
+}
+
+// Each kernel, called directly, compresses the one padded block of "abc"
+// from the FIPS 180-4 initial state to the known digest. The portable
+// kernel runs on every CPU, so it stays pinned where Sha256 (and so the
+// known answers above) dispatch to SHA-NI.
+TEST(Sha256Kernels, EachKernelHashesAbc) {
+  const std::uint32_t init[8] = {0x6a09e667u, 0xbb67ae85u, 0x3c6ef372u,
+                                 0xa54ff53au, 0x510e527fu, 0x9b05688cu,
+                                 0x1f83d9abu, 0x5be0cd19u};
+  const std::uint32_t want[8] = {0xba7816bfu, 0x8f01cfeau, 0x414140deu,
+                                 0x5dae2223u, 0xb00361a3u, 0x96177a9cu,
+                                 0xb410ff61u, 0xf20015adu};
+  std::uint8_t block[64] = {'a', 'b', 'c', 0x80};
+  block[63] = 24;  // message length in bits
+  std::uint32_t state[8];
+  std::memcpy(state, init, sizeof(state));
+  detail::sha256_block_portable(state, block);
+  EXPECT_EQ(0, std::memcmp(state, want, sizeof(state)));
+#if defined(__x86_64__)
+  if (detail::sha256_shani_supported()) {
+    std::memcpy(state, init, sizeof(state));
+    detail::sha256_block_shani(state, block);
+    EXPECT_EQ(0, std::memcmp(state, want, sizeof(state)));
+  }
+#endif
+}
+
+// The two compression kernels must agree on arbitrary (state, block)
+// pairs, not just on the states a message walk reaches: the hardware
+// kernel is checked against the portable one, which EachKernelHashesAbc
+// pins to FIPS 180-4.
+TEST(Sha256Kernels, ShaNiMatchesPortableOnRandomBlocks) {
+  if (!detail::sha256_shani_supported()) {
+    GTEST_SKIP() << "CPU lacks the SHA extensions";
+  }
+#if defined(__x86_64__)
+  std::uint64_t seed = 0x5a256;
+  std::uint8_t buf[65];
+  for (int trial = 0; trial < 10000; ++trial) {
+    std::uint32_t portable[8];
+    for (std::uint32_t& w : portable) {
+      w = static_cast<std::uint32_t>(splitmix64_next(seed));
+    }
+    for (std::uint8_t& b : buf) {
+      b = static_cast<std::uint8_t>(splitmix64_next(seed));
+    }
+    std::uint32_t shani[8];
+    std::memcpy(shani, portable, sizeof(shani));
+    // Odd trials read the block from an unaligned address.
+    const std::uint8_t* block = buf + (trial & 1);
+    detail::sha256_block_portable(portable, block);
+    detail::sha256_block_shani(shani, block);
+    ASSERT_EQ(0, std::memcmp(portable, shani, sizeof(shani)))
+        << "trial " << trial;
+  }
+#endif
+}
+
+TEST(Sha256Kernels, DispatchFollowsTheCpuCheck) {
+  EXPECT_EQ(sha256_kernel(),
+            detail::sha256_shani_supported() ? "sha-ni" : "portable");
 }
 
 TEST(Bytes, HexRoundTrip) {
@@ -142,6 +208,65 @@ TEST(Group, MillerRabinKnownValues) {
   EXPECT_FALSE(is_prime_u64(3215031751ull));  // strong pseudoprime to 2,3,5,7
 }
 
+// Plain square-and-multiply over unsigned __int128: the reference powmod's
+// Montgomery path is checked against.
+std::uint64_t reference_powmod(std::uint64_t base, std::uint64_t exp,
+                               std::uint64_t m) {
+  unsigned __int128 result = 1 % m;
+  unsigned __int128 x = base % m;
+  while (exp > 0) {
+    if (exp & 1) result = result * x % m;
+    x = x * x % m;
+    exp >>= 1;
+  }
+  return static_cast<std::uint64_t>(result);
+}
+
+TEST(Group, PowmodMatchesInt128Reference) {
+  const GroupParams& gp = group();
+  // Odd moduli below 2^63 take the Montgomery path; m = 1, even moduli
+  // and moduli from 2^63 up take the plain loop.
+  const std::uint64_t moduli[] = {1,
+                                  2,
+                                  3,
+                                  4,
+                                  5,
+                                  gp.q,
+                                  gp.p,
+                                  (1ull << 63) - 25,
+                                  (1ull << 63) - 1,
+                                  1ull << 63,
+                                  (1ull << 63) + 1,
+                                  18446744073709551557ull,
+                                  0xfffffffffffffffeull};
+  const std::uint64_t exps[] = {0, 1, 2, 3, gp.q - 1, ~0ull};
+  for (const std::uint64_t m : moduli) {
+    const std::uint64_t bases[] = {0, 1, 2, m - 1, m, m + 1, ~0ull};
+    for (const std::uint64_t e : exps) {
+      for (const std::uint64_t b : bases) {
+        ASSERT_EQ(powmod(b, e, m), reference_powmod(b, e, m))
+            << "base=" << b << " exp=" << e << " m=" << m;
+      }
+    }
+  }
+
+  std::uint64_t seed = 17;
+  for (int trial = 0; trial < 10000; ++trial) {
+    std::uint64_t m = splitmix64_next(seed);
+    switch (trial % 4) {
+      case 0: m >>= 1; break;                 // below 2^63
+      case 1: m = (m >> 1) | 1; break;         // odd, below 2^63
+      case 2: m = (m >> (m % 61)) | 1; break;  // odd, any size
+      default: break;                          // full 64-bit range
+    }
+    if (m == 0) m = 1;
+    const std::uint64_t b = splitmix64_next(seed);  // usually >= m
+    const std::uint64_t e = splitmix64_next(seed) >> (trial % 64);
+    ASSERT_EQ(powmod(b, e, m), reference_powmod(b, e, m))
+        << "base=" << b << " exp=" << e << " m=" << m;
+  }
+}
+
 TEST(Group, MulmodNoOverflow) {
   const std::uint64_t m = 18446744073709551557ull;
   EXPECT_EQ(mulmod(m - 1, m - 1, m), 1u);  // (-1)^2 = 1 mod m
@@ -189,6 +314,26 @@ TEST(Schnorr, DeterministicSignature) {
   EXPECT_EQ(sign(kp.priv, kp.pub, msg), sign(kp.priv, kp.pub, msg));
 }
 
+// Known answers recorded from the plain 128-bit powmod and portable
+// SHA-256: any kernel change that moves a key or signature bit fails here.
+TEST(Schnorr, GoldenKeysAndSignatures) {
+  const KeyPair alice = keygen("alice");
+  EXPECT_EQ(alice.priv.x, 219805699640505722ull);
+  EXPECT_EQ(alice.pub.y, 1574389761800986933ull);
+  EXPECT_EQ(keygen("bob").pub.y, 837133825876163415ull);
+
+  const Signature swap = sign(alice.priv, alice.pub, to_bytes("hedged swap"));
+  EXPECT_EQ(swap.e, 475346064520005226ull);
+  EXPECT_EQ(swap.s, 801797617780982445ull);
+  EXPECT_TRUE(verify(alice.pub, to_bytes("hedged swap"), swap));
+
+  const Bytes path = to_bytes("sig(sig(s, u_1), u_0)");
+  const Signature chained = sign(alice.priv, alice.pub, path);
+  EXPECT_EQ(chained.e, 1027956720095040341ull);
+  EXPECT_EQ(chained.s, 130804170761504904ull);
+  EXPECT_TRUE(verify(alice.pub, path, chained));
+}
+
 TEST(Schnorr, KeygenDeterministicPerLabel) {
   EXPECT_EQ(keygen("alice").pub, keygen("alice").pub);
   EXPECT_NE(keygen("alice").pub.y, keygen("bob").pub.y);
@@ -209,6 +354,24 @@ TEST(Secret, WrongPreimageFails) {
   const Secret s1 = Secret::random(rng);
   const Secret s2 = Secret::random(rng);
   EXPECT_FALSE(opens(s1.hashlock(), s2.value()));
+}
+
+// The hashlock is computed once at construction; it must still be exactly
+// SHA-256 of the value, for every way a Secret is made or copied.
+TEST(Secret, CachedHashlockIsSha256OfValue) {
+  const Secret alice = Secret::from_label("alice");
+  EXPECT_EQ(to_hex(alice.hashlock()),
+            "904bf511688ad4a351781962160245b7c468188e0b3afa7b95b45aae53f28bc0");
+  Rng rng(5);
+  Secret copy;
+  EXPECT_EQ(copy.hashlock(), sha256(Bytes{}));
+  for (int i = 0; i < 4; ++i) {
+    const Secret s = Secret::random(rng);
+    EXPECT_EQ(s.hashlock(), sha256(s.value()));
+    copy = s;
+    EXPECT_EQ(copy.hashlock(), sha256(s.value()));
+  }
+  EXPECT_EQ(Secret(to_bytes("abc")).hashlock(), sha256("abc"));
 }
 
 TEST(Secret, FromLabelDeterministic) {

@@ -206,6 +206,31 @@ TEST(Registry, AuctionsNoBidCanWinAreRejected) {
   }
 }
 
+// Values the schema's minimums admit but the engines cannot run are
+// configuration errors: a bootstrap premium factor P <= 1 never shrinks
+// the premium, and a zero-volatility CRR lattice has nothing to price.
+// Both fail as ParamError at make time, never as std::invalid_argument
+// mid-sweep; the edges just inside stay valid and sweep clean.
+TEST(Registry, EngineRejectedValuesAreParamErrors) {
+  const ProtocolRegistry& reg = ProtocolRegistry::global();
+  ParamSet boot = reg.defaults("bootstrap");
+  boot.set("factor", "1");
+  EXPECT_THROW(reg.make("bootstrap", boot), ParamError);
+  ParamSet crr = reg.defaults("crr-ladder");
+  crr.set("volatility", "0");
+  EXPECT_THROW(reg.make("crr-ladder", crr), ParamError);
+
+  boot.set("factor", "1.01");
+  crr.set("volatility", "0.01");
+  for (const auto& [name, params] :
+       {std::pair{"bootstrap", boot}, std::pair{"crr-ladder", crr}}) {
+    const auto adapter = reg.make(name, params);
+    const SweepReport r = ScenarioRunner(*adapter).sweep(SweepOptions{});
+    EXPECT_GT(r.schedules_run, 0u) << name;
+    EXPECT_TRUE(r.violations.empty()) << name << ": " << r.str();
+  }
+}
+
 // Registry defaults must stay byte-identical to the historical hard-coded
 // reference structs (the numbers the whole PR-1..3 test/bench corpus was
 // pinned on). reference_configs.hpp is now a shim over these defaults, so

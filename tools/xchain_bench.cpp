@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "common/strict_int.hpp"
+#include "crypto/sha256.hpp"
 #include "load/load_gen.hpp"
 
 #ifndef XCHAIN_GIT_COMMIT
@@ -285,6 +286,9 @@ int main(int argc, char** argv) {
       report.ticks > 0 ? report.wall_seconds / static_cast<double>(report.ticks)
                        : 0.0;
 
+  // The SHA-256 compression function this CPU dispatched to: a host
+  // without SHA-NI runs the crypto layer several times slower.
+  const std::string kernel(crypto::sha256_kernel());
   if (!quiet) {
     std::printf(
         "load: %zu instances over %lld ticks on %zu shared chains "
@@ -320,6 +324,8 @@ int main(int argc, char** argv) {
     print_phases("  ", report.phase_seconds);
     std::printf("  pool ticks: %zu of %lld\n", report.pool_ticks,
                 static_cast<long long>(report.ticks));
+    std::printf("  host: %u hardware threads, sha256_kernel %s\n",
+                std::thread::hardware_concurrency(), kernel.c_str());
     for (const ScalingPoint& p : curve) {
       std::printf(
           "  scaling: %2u threads  %.3fs  %.0f instances/s  %zu pool ticks\n",
@@ -336,9 +342,10 @@ int main(int argc, char** argv) {
                 "  \"git_commit\": \"%s\",\n"
                 "  \"build_type\": \"%s\",\n"
                 "  \"compiler\": \"%s\",\n"
-                "  \"hardware_threads\": %u,\n",
+                "  \"hardware_threads\": %u,\n"
+                "  \"sha256_kernel\": \"%s\",\n",
                 XCHAIN_GIT_COMMIT, XCHAIN_BUILD_TYPE, XCHAIN_COMPILER,
-                std::thread::hardware_concurrency());
+                std::thread::hardware_concurrency(), kernel.c_str());
   j += buf;
   std::snprintf(buf, sizeof buf,
                 "  \"users\": %zu,\n  \"threads\": %u,\n  \"seed\": %llu,\n"
